@@ -20,4 +20,18 @@ FpgaResources OpenFlowSwitchResources(uint32_t ports, const FpgaModelParams& par
   return out;
 }
 
+FpgaResources AlarmFilterResources(uint32_t entries) {
+  constexpr uint32_t kKeyBits = 64 + 8 + 64 + 1;  // uid, port, event_seq, up
+  constexpr uint32_t kHopsBits = 8;
+  constexpr uint32_t kValidBits = 1;
+  uint32_t cursor_bits = 0;
+  while ((1u << cursor_bits) < entries) {
+    ++cursor_bits;
+  }
+  FpgaResources out;
+  out.luts = entries * ((kKeyBits + kHopsBits + 2) / 3);
+  out.registers = entries * (kKeyBits + kHopsBits + kValidBits) + cursor_bits;
+  return out;
+}
+
 }  // namespace dumbnet

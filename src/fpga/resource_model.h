@@ -13,6 +13,8 @@
 // The OpenFlow reference needs a multi-protocol parser and flow-table/TCAM
 // machinery per port plus its own crossbar, giving it a large constant and a much
 // larger per-port cost. Both exclude I/O buffers and MACs (as the paper does).
+// The alarm relay filter (not in the paper; DESIGN.md §6) is charged separately:
+// it is a fixed ring of alarm keys whose size does not depend on P.
 #ifndef DUMBNET_SRC_FPGA_RESOURCE_MODEL_H_
 #define DUMBNET_SRC_FPGA_RESOURCE_MODEL_H_
 
@@ -49,6 +51,13 @@ FpgaResources DumbNetSwitchResources(uint32_t ports,
 // Resources of the NetFPGA OpenFlow reference switch at P ports.
 FpgaResources OpenFlowSwitchResources(uint32_t ports,
                                       const FpgaModelParams& params = FpgaModelParams());
+
+// Resources of an alarm relay filter with `entries` slots. A slot holds the full
+// alarm key (64-bit origin uid, 8-bit port, 64-bit event_seq, up bit), the 8-bit
+// most hops relayed and a valid bit; the key is not hashed or truncated, since a
+// false match would drop a copy and lose reach. Registers: the slots plus the
+// ring cursor. LUTs: one 6-input LUT per three key or hop bits compared per slot.
+FpgaResources AlarmFilterResources(uint32_t entries);
 
 }  // namespace dumbnet
 

@@ -652,6 +652,9 @@ void HostAgent::RequestPath(uint64_t dst_mac) {
     if (attempt >= kMaxPathRequestRetries) {
       outstanding_requests_.erase(dst_mac);
       pending_.erase(dst_mac);
+      ++stats_.path_request_giveups;
+      DN_COUNTER_INC("host.path_request_giveups");
+      DN_TRACE_EVENT(kHost, kGiveUp, sim_->Now(), mac_, dst_mac);
       DN_WARN << "host " << mac_ << ": giving up on path to " << dst_mac;
       return;
     }

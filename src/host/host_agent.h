@@ -48,6 +48,7 @@ struct HostAgentStats {
   uint64_t data_received = 0;
   uint64_t data_blocked = 0;       // queued waiting for a path
   uint64_t path_requests = 0;
+  uint64_t path_request_giveups = 0;  // requests abandoned after every retry
   uint64_t path_responses = 0;
   uint64_t probes_replied = 0;
   uint64_t port_events_seen = 0;   // deduplicated fabric notifications

@@ -13,7 +13,14 @@ namespace {
 // pending_state / seq). Data-plane forwarding state is deliberately unrecorded:
 // transient loss under in-flight failures is racy by design (Section 4.3).
 constexpr uint64_t kSaltAlarm = 0xA1A2;
+// Footprint cell for the alarm relay filter (the whole ring: insertion order
+// decides eviction order).
+constexpr uint64_t kSaltAlarmFilter = 0xA1A3;
 }  // namespace
+
+uint64_t DumbSwitch::AlarmFilterFootprintId(uint64_t switch_uid) {
+  return footprint::FpKey(switch_uid, kSaltAlarmFilter);
+}
 
 DumbSwitch::DumbSwitch(Network* net, uint32_t index, DumbSwitchConfig config)
     : net_(net),
@@ -48,7 +55,13 @@ void DumbSwitch::HandlePacket(Packet&& pkt, PortNum in_port) {
   if (pkt.tags.empty()) {
     if (auto* ev = std::get_if<PortEventPayload>(&pkt.payload);
         ev != nullptr && ev->hops_left > 0) {
+      DN_FP_SCOPE("switch.alarm_relay", uid_);
       ev->hops_left = static_cast<uint8_t>(ev->hops_left - 1);
+      if (!AdmitAlarm(*ev)) {
+        ++stats_.alarm_duplicates_dropped;
+        DN_COUNTER_INC("switch.alarm_duplicates_dropped");
+        return;
+      }
       ++stats_.notifications_relayed;
       FloodNotification(pkt, in_port);
     }
@@ -179,10 +192,30 @@ void DumbSwitch::EmitAlarm(PortNum port, bool up) {
   pkt.eth.src_mac = uid_;
   pkt.eth.dst_mac = kBroadcastMac;
   pkt.eth.ether_type = kEtherTypeDumbNet;
-  pkt.payload = PortEventPayload{uid_,        port,       up, config_.notify_hops,
-                                 alarm.seq++, sim_->Now()};
+  const PortEventPayload ev{uid_, port, up, config_.notify_hops, alarm.seq++, sim_->Now()};
+  // Record our own alarm first, so copies that loop back here die at once.
+  (void)AdmitAlarm(ev);
+  pkt.payload = ev;
   ++stats_.notifications_sent;
   FloodNotification(pkt, kPathEndTag);
+}
+
+bool DumbSwitch::AdmitAlarm(const PortEventPayload& ev) {
+  DN_FP_COMMUTES(kSwitch, AlarmFilterFootprintId(uid_), kAlarmFilterCommutes);
+  for (AlarmFilterEntry& e : alarm_filter_) {
+    if (e.valid && e.switch_uid == ev.switch_uid && e.event_seq == ev.event_seq &&
+        e.port == ev.port && e.up == ev.up) {
+      if (ev.hops_left <= e.hops_relayed) {
+        return false;
+      }
+      e.hops_relayed = ev.hops_left;
+      return true;
+    }
+  }
+  alarm_filter_[alarm_filter_next_] =
+      AlarmFilterEntry{ev.switch_uid, ev.event_seq, ev.port, ev.up, ev.hops_left, true};
+  alarm_filter_next_ = (alarm_filter_next_ + 1) % kAlarmFilterSlots;
+  return true;
 }
 
 void DumbSwitch::FloodNotification(const Packet& pkt, PortNum skip) {

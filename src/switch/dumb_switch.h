@@ -6,12 +6,18 @@
 //      the remaining tags".
 //   3. Port monitoring: on a physical port state change, broadcast a hop-limited
 //      port-up/down notification out every port, suppressing duplicate alarms to at
-//      most one per second per port.
+//      most one per second per port. A received notification is relayed only if
+//      this switch has not relayed that alarm before, or if the copy carries more
+//      hops than any copy it relayed (a ring of the last kAlarmFilterSlots alarms;
+//      not in the paper, see DESIGN.md §6). Every node within the hop limit still
+//      hears the alarm, no later than an unfiltered flood would deliver it.
 //
 // Anything else (unknown EtherType, ø at a switch, bad port) is dropped.
 #ifndef DUMBNET_SRC_SWITCH_DUMB_SWITCH_H_
 #define DUMBNET_SRC_SWITCH_DUMB_SWITCH_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +47,7 @@ struct DumbSwitchStats {
   uint64_t notifications_sent = 0;
   uint64_t notifications_relayed = 0;
   uint64_t alarms_suppressed = 0;
+  uint64_t alarm_duplicates_dropped = 0;  // relay filter: redundant copies not relayed
   uint64_t dropped_bad_tag = 0;
   uint64_t dropped_port_down = 0;
   uint64_t dropped_foreign = 0;
@@ -48,6 +55,17 @@ struct DumbSwitchStats {
 
 class DumbSwitch : public NetNode {
  public:
+  // Alarm relay filter size. A fixed hardware constant, not configuration: an
+  // evicted alarm only costs an extra relay of its later copies, never reach.
+  static constexpr size_t kAlarmFilterSlots = 4;
+
+  // Footprint entity (space kSwitch) of the switch's relay filter, and the reason
+  // its same-instant updates commute. Exposed for race-detector tests.
+  static uint64_t AlarmFilterFootprintId(uint64_t switch_uid);
+  static constexpr char kAlarmFilterCommutes[] =
+      "alarm relay filter: same-instant copies change only redundant relays, "
+      "never reach or first arrival";
+
   DumbSwitch(Network* net, uint32_t index, DumbSwitchConfig config = DumbSwitchConfig());
 
   void HandlePacket(const Packet& pkt, PortNum in_port) override;
@@ -78,6 +96,12 @@ class DumbSwitch : public NetNode {
 
   void EmitAlarm(PortNum port, bool up);
 
+  // Relay filter: records that a copy of `ev` leaves this switch with
+  // `ev.hops_left` hops. Returns false, recording nothing, when a copy with at
+  // least as many hops already left: that copy reaches everything this one would,
+  // no later.
+  bool AdmitAlarm(const PortEventPayload& ev);
+
   bool PortIsUp(PortNum port) const;
 
   Network* net_;
@@ -98,6 +122,19 @@ class DumbSwitch : public NetNode {
     uint64_t seq = 0;
   };
   std::vector<AlarmState> alarms_;  // indexed by port
+
+  // One filter slot: an alarm's key (origin uid, port, event_seq, up) and the
+  // most hops_left any copy of it left this switch with.
+  struct AlarmFilterEntry {
+    uint64_t switch_uid = 0;
+    uint64_t event_seq = 0;
+    PortNum port = 0;
+    bool up = false;
+    uint8_t hops_relayed = 0;
+    bool valid = false;
+  };
+  std::array<AlarmFilterEntry, kAlarmFilterSlots> alarm_filter_{};
+  size_t alarm_filter_next_ = 0;  // ring cursor: the slot a new alarm overwrites
 };
 
 }  // namespace dumbnet

@@ -21,11 +21,11 @@ const char* const kComponentNames[kComponentCount] = {
     "simulator", "network", "switch", "host", "controller", "transport", "audit", "log",
 };
 
-constexpr size_t kEventKindCount = 16;
+constexpr size_t kEventKindCount = 17;
 const char* const kEventKindNames[kEventKindCount] = {
     "progress",   "send",       "receive", "forward", "drop",      "failover",
     "repair",     "retransmit", "timeout", "discovery", "path_serve", "patch",
-    "gossip",     "divergence", "audit_failure", "log_event",
+    "gossip",     "divergence", "audit_failure", "log_event", "giveup",
 };
 
 bool ParseComponent(const std::string& s, Component* out) {

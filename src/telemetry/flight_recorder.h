@@ -67,6 +67,7 @@ enum class EventKind : uint8_t {
   kDivergence = 13,   // provenance mismatch: path taken != path promised
   kAuditFailure = 14, // invariant audit / assert failure
   kLogEvent = 15,     // structured DN_LOG_KV event (name = event literal)
+  kGiveUp = 16,       // host abandoned a path request after its retries (arg = dst)
 };
 const char* EventKindName(EventKind k);
 

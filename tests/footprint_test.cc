@@ -1,5 +1,6 @@
-// Footprint conflict semantics (MergeEffects / EffectsConflict) and the
-// simulator's batch-level hazard detection built on top of them.
+// Footprint conflict semantics (MergeEffects / EffectsConflict), the
+// simulator's batch-level hazard detection built on top of them, and the
+// switch relay filter's annotation as seen by that detection.
 #include "src/sim/footprint.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "src/net/network.h"
 #include "src/sim/simulator.h"
+#include "src/switch/dumb_switch.h"
+#include "src/topo/topology.h"
 
 namespace dumbnet {
 namespace footprint {
@@ -165,6 +169,52 @@ TEST_F(FootprintSimTest, SingletonBatchesDoNotAdvanceBatchIndex) {
   sim_.ScheduleAt(30, [] {});
   sim_.Run();
   EXPECT_EQ(sim_.batches_formed(), 1u);
+}
+
+TEST_F(FootprintSimTest, AlarmRelayFilterCommutesYetStaysVisible) {
+  Topology topo;
+  topo.AddSwitch(4);  // unwired: relayed copies go nowhere
+  Network net(&sim_, &topo);
+  DumbSwitch sw(&net, 0);
+  const uint64_t cell = DumbSwitch::AlarmFilterFootprintId(sw.uid());
+  auto copy_of = [](uint64_t seq) {
+    Packet pkt;
+    pkt.eth.ether_type = kEtherTypeDumbNet;
+    pkt.payload = PortEventPayload{0x5100000000000007ULL, 3, false, 4, seq, 0};
+    return pkt;
+  };
+  SetEnabled(true);
+  std::vector<BatchHazard> hazards;
+  sim_.SetHazardHook([&hazards](const BatchHazard& h) { hazards.push_back(h); });
+
+  // Two copies of one alarm reach the switch at one instant on different ports:
+  // one is relayed, one dropped, in either order. No hazard.
+  RunPair([&] { sw.HandlePacket(copy_of(11), 1); },
+          [&] { sw.HandlePacket(copy_of(11), 2); });
+  EXPECT_TRUE(hazards.empty());
+  EXPECT_EQ(sw.stats().notifications_relayed, 1u);
+  EXPECT_EQ(sw.stats().alarm_duplicates_dropped, 1u);
+
+  // A plain writer of the filter cell at that instant conflicts with the relay
+  // next to it (adjacent conflicting accessors are the reported generator set).
+  sim_.ScheduleAt(20, [&] { sw.HandlePacket(copy_of(12), 1); });
+  sim_.ScheduleAt(20, [&] { sw.HandlePacket(copy_of(12), 2); });
+  sim_.ScheduleAt(20, [cell] {
+    DN_FP_SCOPE("test.writer", 0);
+    DN_FP_WRITE(kSwitch, cell);
+  });
+  sim_.Run();
+  ASSERT_EQ(hazards.size(), 1u);
+  const BatchHazard& h = hazards[0];
+  EXPECT_EQ(h.space, FpSpace::kSwitch);
+  EXPECT_EQ(h.id, cell);
+  EXPECT_EQ(h.pos_a, 1u);
+  EXPECT_EQ(h.pos_b, 2u);
+  EXPECT_STREQ(h.label_a, "switch.alarm_relay");
+  EXPECT_EQ(h.access_a, FpAccess::kCommute);
+  EXPECT_STREQ(h.reason_a, DumbSwitch::kAlarmFilterCommutes);
+  EXPECT_STREQ(h.label_b, "test.writer");
+  EXPECT_EQ(h.access_b, FpAccess::kWrite);
 }
 
 #endif  // DUMBNET_FOOTPRINTS_ENABLED

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/switch/dumb_switch.h"
+
 namespace dumbnet {
 namespace {
 
@@ -63,6 +65,22 @@ TEST(FpgaModelTest, DumbNetPerPortAreaIsCheaperEverywhere) {
     EXPECT_LT(DumbNetSwitchResources(p).luts, OpenFlowSwitchResources(p).luts)
         << "at " << p << " ports";
   }
+}
+
+TEST(FpgaModelTest, AlarmFilterIsAFixedTermOutsideTheCalibration) {
+  const uint32_t slots = static_cast<uint32_t>(DumbSwitch::kAlarmFilterSlots);
+  FpgaResources filter = AlarmFilterResources(slots);
+  // Per slot: 64 uid + 8 port + 64 seq + 1 up + 8 hops + 1 valid; plus the cursor.
+  EXPECT_EQ(filter.registers, slots * 146u + 2u);
+  EXPECT_GT(filter.luts, 0u);
+  // The full-width key makes the filter a visible fixed cost beside the tiny
+  // 4-port prototype, and a negligible one at data center port counts.
+  const FpgaResources dn4 = DumbNetSwitchResources(4);
+  EXPECT_LT(filter.registers, 0.4 * dn4.registers);
+  EXPECT_LT(filter.luts, 0.15 * dn4.luts);
+  EXPECT_LT(filter.registers, 0.02 * DumbNetSwitchResources(32).registers);
+  // It scales with slots, not ports.
+  EXPECT_EQ(AlarmFilterResources(2 * slots).registers, 2 * slots * 146u + 3u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include "src/host/path_table.h"
 #include "src/host/path_verifier.h"
 #include "src/host/topo_cache.h"
+#include "src/telemetry/flight_recorder.h"
+#include "src/telemetry/telemetry.h"
 #include "src/topo/generators.h"
 #include "tests/test_fabric.h"
 
@@ -300,6 +302,34 @@ TEST(HostAgentTest, SendOnPathVerifies) {
   fabric.Run();
   EXPECT_EQ(received, 2);
   EXPECT_EQ(src.stats().verify_failures, 1u);
+}
+
+TEST(HostAgentTest, UnservablePathRequestGivesUpAndIsCounted) {
+  auto tb = MakePaperTestbed();
+  ASSERT_TRUE(tb.ok());
+  TestFabric fabric(std::move(tb.value().topo));
+  fabric.BringUpAdopted(25);
+  telemetry::Counter* giveups =
+      telemetry::MetricsRegistry::Global().GetCounter("host.path_request_giveups");
+  const uint64_t giveups_before = giveups->value();
+
+  // No host has this MAC: the controller cannot serve it, so every retry times
+  // out and the agent gives up.
+  const uint64_t nowhere = 0xDEADBEEF;
+  ASSERT_TRUE(fabric.agent(0).Send(nowhere, 1, DataPayload{}).ok());
+  fabric.Run();
+  EXPECT_EQ(fabric.agent(0).stats().path_request_giveups, 1u);
+  if (!telemetry::kCompiledIn) {
+    return;
+  }
+  EXPECT_EQ(giveups->value(), giveups_before + 1);
+  bool traced = false;
+  for (const telemetry::TraceEvent& ev : telemetry::FlightRecorder::Global().Snapshot()) {
+    traced = traced || (ev.kind == telemetry::EventKind::kGiveUp &&
+                        ev.id == fabric.agent(0).mac() && ev.arg == nowhere);
+  }
+  EXPECT_TRUE(traced);
+  EXPECT_STREQ(telemetry::EventKindName(telemetry::EventKind::kGiveUp), "giveup");
 }
 
 }  // namespace
