@@ -1,24 +1,21 @@
 // perf_core: microbenchmarks for the two engines everything else sits on — the
 // event core (timer wheel + pooled callbacks) and the routing compute path
-// (CSR graph + scratch SSSP + tree-shared batch path graphs).
+// (CSR graph + cached shortest-path DAG + scratch path graphs).
 //
-// To keep the speedup numbers honest and machine-portable, the *pre-change*
-// implementations are embedded here verbatim (the priority-queue simulator core
-// and the allocating per-destination path-graph pipeline) and both generations
-// run back-to-back in the same process. The reported `speedup` metrics are
-// ratios, so a committed baseline stays meaningful across machines;
-// tools/dumbnet-check gates on them.
+// To keep the event-core speedup honest and machine-portable, the *pre-change*
+// priority-queue simulator core is embedded here verbatim and both generations
+// run back-to-back in the same process. The reported `speedup` metric is a
+// ratio, so a committed baseline stays meaningful across machines;
+// tools/dumbnet-check gates on it.
 //
 //   events_per_sec        cancel-heavy drain, new core vs legacy priority queue
-//   path_graphs_per_sec   one-source/many-destination batch vs legacy loop
+//   path_graphs_per_sec   path graphs served from one source's cached DAG
 //   bring_up_wall         full discovery + bootstrap wall-clock, 1k/4k/16k hosts
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <queue>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,9 +24,8 @@
 #include "src/analysis/contracts.h"
 #include "src/core/fabric.h"
 #include "src/routing/path_graph.h"
-#include "src/routing/shortest_path.h"
+#include "src/routing/shortest_path_dag.h"
 #include "src/topo/generators.h"
-#include "src/util/thread_pool.h"
 
 using namespace dumbnet;
 
@@ -140,176 +136,6 @@ class Simulator {
   uint64_t next_id_ = 1;
 };
 
-// The pre-change routing stack, embedded verbatim: a vector-of-vectors
-// adjacency rebuilt per call, a full graph copy for the backup penalisation,
-// deque-based allocating BFS, and an allocating Dijkstra — i.e. the seed
-// repo's SwitchGraph/BfsDistances/ShortestPath/BuildPathGraph pipeline.
-class SwitchGraph {
- public:
-  explicit SwitchGraph(const Topology& topo) {
-    adj_.resize(topo.switch_count());
-    for (LinkIndex li = 0; li < topo.link_count(); ++li) {
-      const Link& l = topo.link_at(li);
-      if (!l.up || !l.a.node.is_switch() || !l.b.node.is_switch()) {
-        continue;
-      }
-      adj_[l.a.node.index].push_back(AdjEdge{l.b.node.index, l.a.port, l.b.port, li, 1.0});
-      adj_[l.b.node.index].push_back(AdjEdge{l.a.node.index, l.b.port, l.a.port, li, 1.0});
-    }
-  }
-
-  size_t size() const { return adj_.size(); }
-  const std::vector<AdjEdge>& Neighbors(uint32_t s) const { return adj_[s]; }
-
-  void ScaleLinkWeight(LinkIndex link, double factor) {
-    for (auto& edges : adj_) {
-      for (AdjEdge& e : edges) {
-        if (e.link == link) {
-          e.weight *= factor;
-        }
-      }
-    }
-  }
-
- private:
-  std::vector<std::vector<AdjEdge>> adj_;
-};
-
-std::vector<uint32_t> BfsDistances(const SwitchGraph& graph, uint32_t src) {
-  std::vector<uint32_t> dist(graph.size(), UINT32_MAX);
-  std::deque<uint32_t> q;
-  dist[src] = 0;
-  q.push_back(src);
-  while (!q.empty()) {
-    uint32_t u = q.front();
-    q.pop_front();
-    for (const AdjEdge& e : graph.Neighbors(u)) {
-      if (dist[e.to] == UINT32_MAX) {
-        dist[e.to] = dist[u] + 1;
-        q.push_back(e.to);
-      }
-    }
-  }
-  return dist;
-}
-
-struct DijkstraItem {
-  double cost;
-  uint64_t tiebreak;
-  uint32_t vertex;
-  bool operator>(const DijkstraItem& other) const {
-    if (cost != other.cost) {
-      return cost > other.cost;
-    }
-    return tiebreak > other.tiebreak;
-  }
-};
-
-Result<SwitchPath> ShortestPath(const SwitchGraph& graph, uint32_t src, uint32_t dst,
-                                Rng* rng) {
-  std::vector<double> cost(graph.size(), kInfCost);
-  std::vector<uint32_t> parent(graph.size(), kNoVertex);
-  std::priority_queue<DijkstraItem, std::vector<DijkstraItem>, std::greater<DijkstraItem>>
-      pq;
-  cost[src] = 0.0;
-  pq.push({0.0, 0, src});
-  while (!pq.empty()) {
-    double c = pq.top().cost;
-    uint32_t u = pq.top().vertex;
-    pq.pop();
-    if (c > cost[u]) {
-      continue;
-    }
-    if (u == dst) {
-      break;
-    }
-    for (const AdjEdge& e : graph.Neighbors(u)) {
-      double nc = c + e.weight;
-      bool better = nc < cost[e.to];
-      bool tie = !better && nc == cost[e.to] && rng != nullptr && rng->Bernoulli(0.5);
-      if (better || tie) {
-        cost[e.to] = nc;
-        parent[e.to] = u;
-        pq.push({nc, rng != nullptr ? rng->Next64() : 0, e.to});
-      }
-    }
-  }
-  if (cost[dst] == kInfCost) {
-    return Error(ErrorCode::kUnavailable, "destination unreachable");
-  }
-  SwitchPath path;
-  for (uint32_t v = dst; v != kNoVertex; v = parent[v]) {
-    path.push_back(v);
-    if (v == src) {
-      break;
-    }
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-Result<PathGraph> BuildPathGraph(const Topology& topo, uint32_t src_switch,
-                                 uint32_t dst_switch, const PathGraphParams& params,
-                                 Rng* rng) {
-  SwitchGraph graph(topo);  // rebuilt per call, as the old controller did
-  PathGraph out;
-  out.src_switch = src_switch;
-  out.dst_switch = dst_switch;
-
-  auto primary = ShortestPath(graph, src_switch, dst_switch, rng);
-  if (!primary.ok()) {
-    return primary.error();
-  }
-  out.primary = std::move(primary.value());
-
-  {
-    SwitchGraph penalized = graph;
-    for (size_t i = 0; i + 1 < out.primary.size(); ++i) {
-      for (const AdjEdge& e : graph.Neighbors(out.primary[i])) {
-        if (e.to == out.primary[i + 1]) {
-          penalized.ScaleLinkWeight(e.link, params.backup_penalty);
-        }
-      }
-    }
-    auto backup = ShortestPath(penalized, src_switch, dst_switch, rng);
-    if (backup.ok()) {
-      out.backup = std::move(backup.value());
-    }
-  }
-
-  std::set<uint32_t> vertex_set(out.primary.begin(), out.primary.end());
-  vertex_set.insert(out.backup.begin(), out.backup.end());
-  const size_t l = out.primary.size();
-  const uint32_t s = std::max<uint32_t>(1, params.s);
-  const uint32_t step = std::max<uint32_t>(1, s / 2);
-  for (size_t i = 0; i < l; i += step) {
-    uint32_t a = out.primary[i];
-    uint32_t b = out.primary[std::min(i + s, l - 1)];
-    std::vector<uint32_t> da = BfsDistances(graph, a);
-    std::vector<uint32_t> db = BfsDistances(graph, b);
-    uint32_t budget = s + params.epsilon;
-    for (uint32_t x = 0; x < graph.size(); ++x) {
-      if (da[x] != UINT32_MAX && db[x] != UINT32_MAX && da[x] + db[x] <= budget) {
-        vertex_set.insert(x);
-      }
-    }
-    if (i + s >= l - 1) {
-      break;
-    }
-  }
-  out.vertices.assign(vertex_set.begin(), vertex_set.end());
-  std::set<LinkIndex> link_set;
-  for (uint32_t v : out.vertices) {
-    for (const AdjEdge& e : graph.Neighbors(v)) {
-      if (vertex_set.count(e.to) > 0) {
-        link_set.insert(e.link);
-      }
-    }
-  }
-  out.links.assign(link_set.begin(), link_set.end());
-  return out;
-}
-
 }  // namespace legacy
 
 // ---------------------------------------------------------------------------
@@ -370,70 +196,37 @@ CancelDrainResult RunCancelDrain(uint64_t total_events) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 2: path graphs from one source to every other edge switch — what the
-// controller does when precomputing routes for a host's flow fan-out.
+// Workload 2: path graphs from one source to many destinations, built the way
+// the controller serves a cold query: the primary is a walk sampled from the
+// source's cached shortest-path DAG, then BuildPathGraphAround adds backup and
+// detours. The per-graph cost is what ctrl.graph_build_ns records, minus the
+// wire conversion.
 // ---------------------------------------------------------------------------
-struct BatchResult {
-  double per_sec_legacy = 0;
-  double per_sec_new = 0;     // single-threaded: tree + scratch, no pool
-  double per_sec_pooled = 0;  // with the thread pool
-  size_t graphs = 0;
-};
-
-BatchResult RunPathGraphBatch(const Topology& topo, uint32_t src,
-                              const std::vector<uint32_t>& dsts, int repeats) {
-  BatchResult r;
-  r.graphs = dsts.size() * static_cast<size_t>(repeats);
-  PathGraphParams params;
-
-  size_t built_legacy = 0;
-  double legacy_secs = WallSeconds([&] {
-    Rng rng(42);
+double RunPathGraphs(const Topology& topo, uint32_t src, const std::vector<uint32_t>& dsts,
+                     int repeats) {
+  const SwitchGraph graph(topo);
+  const PathGraphParams params;
+  ShortestPathDagCache dags;
+  PathGraphScratch scratch;
+  size_t built = 0;
+  const double secs = WallSeconds([&] {
     for (int it = 0; it < repeats; ++it) {
       for (uint32_t dst : dsts) {
-        auto pg = legacy::BuildPathGraph(topo, src, dst, params, &rng);
-        if (pg.ok()) {
-          ++built_legacy;
+        Rng rng((static_cast<uint64_t>(it) << 32) | dst);
+        auto primary = dags.Get(graph, src).Sample(graph, dst, &rng);
+        if (primary.ok() && BuildPathGraphAround(topo, graph, std::move(primary.value()),
+                                                 params, &rng, scratch)
+                                .ok()) {
+          ++built;
         }
       }
     }
   });
-  r.per_sec_legacy = static_cast<double>(r.graphs) / legacy_secs;
-
-  SwitchGraph graph(topo);
-  size_t built_new = 0;
-  double new_secs = WallSeconds([&] {
-    Rng rng(42);
-    SsspScratch tree_scratch;
-    for (int it = 0; it < repeats; ++it) {
-      SsspTree tree = BuildSsspTree(graph, src, &rng, &tree_scratch);
-      auto graphs = BuildPathGraphBatch(topo, graph, tree, dsts, params, &rng, nullptr);
-      for (const auto& pg : graphs) {
-        if (pg.ok()) {
-          ++built_new;
-        }
-      }
-    }
-  });
-  r.per_sec_new = static_cast<double>(r.graphs) / new_secs;
-
-  ThreadPool pool;
-  double pooled_secs = WallSeconds([&] {
-    Rng rng(42);
-    SsspScratch tree_scratch;
-    for (int it = 0; it < repeats; ++it) {
-      SsspTree tree = BuildSsspTree(graph, src, &rng, &tree_scratch);
-      auto graphs = BuildPathGraphBatch(topo, graph, tree, dsts, params, &rng, &pool);
-      (void)graphs;
-    }
-  });
-  r.per_sec_pooled = static_cast<double>(r.graphs) / pooled_secs;
-
-  if (built_legacy != built_new) {
-    std::printf("WARNING: legacy built %zu graphs, new built %zu\n", built_legacy,
-                built_new);
+  if (built != dsts.size() * static_cast<size_t>(repeats)) {
+    std::printf("WARNING: built %zu of %zu path graphs\n", built,
+                dsts.size() * static_cast<size_t>(repeats));
   }
-  return r;
+  return static_cast<double>(built) / secs;
 }
 
 // ---------------------------------------------------------------------------
@@ -622,32 +415,18 @@ int main(int argc, char** argv) {
     dsts.push_back(v);
   }
   const int repeats = args.quick ? 2 : 6;
-  BatchResult batch;
-  const uint64_t batch_allocs = HotAllocsDuring(
-      [&] { batch = RunPathGraphBatch(topo, cube.value().At(0, 0, 0), dsts, repeats); });
-  double batch_speedup = batch.per_sec_new / batch.per_sec_legacy;
-  double pooled_speedup = batch.per_sec_pooled / batch.per_sec_legacy;
-  std::printf("\npath-graph batch (8-cube, %zu dsts x %d repeats):\n", dsts.size(),
-              repeats);
-  std::printf("  legacy loop  %12.0f graphs/s\n", batch.per_sec_legacy);
-  std::printf("  new batch    %12.0f graphs/s (%.2fx)\n", batch.per_sec_new,
-              batch_speedup);
-  std::printf("  pooled batch %12.0f graphs/s (%.2fx)\n", batch.per_sec_pooled,
-              pooled_speedup);
+  double graphs_per_sec = 0;
+  const uint64_t batch_allocs = HotAllocsDuring([&] {
+    graphs_per_sec = RunPathGraphs(topo, cube.value().At(0, 0, 0), dsts, repeats);
+  });
+  std::printf("\npath graphs served from one cached DAG (8-cube, %zu dsts x %d repeats):\n",
+              dsts.size(), repeats);
+  std::printf("  served       %12.0f graphs/s\n", graphs_per_sec);
   bench::JsonReporter::Params batch_params = {
       {"topology", "cube8"}, {"dsts", std::to_string(dsts.size())}};
-  report.Add("perf_core", "path_graphs_per_sec", batch.per_sec_new, "graphs/s",
-             batch_params);
-  report.Add("perf_core", "path_graphs_per_sec_legacy", batch.per_sec_legacy,
-             "graphs/s", batch_params);
-  report.Add("perf_core", "path_graphs_per_sec_pooled", batch.per_sec_pooled,
-             "graphs/s", batch_params);
-  report.Add("perf_core", "path_graph_batch_speedup", batch_speedup, "ratio",
-             batch_params);
-  report.Add("perf_core", "path_graph_pooled_speedup", pooled_speedup, "ratio",
-             batch_params);
+  report.Add("perf_core", "path_graphs_per_sec", graphs_per_sec, "graphs/s", batch_params);
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(batch_allocs),
-             "allocs", {{"section", "path_graph_batch"}});
+             "allocs", {{"section", "path_graphs"}});
 
   // --- 3. bring-up wall-clock, 1k .. 128k hosts ----------------------------
   struct Scale {
@@ -719,7 +498,7 @@ int main(int argc, char** argv) {
   if (args.quick) {
     std::printf("\n(quick mode: reduced event count, repeats, and host sweep)\n");
   }
-  std::printf("\nhot-scope allocations (contract checker%s): drain=%lu batch=%lu "
+  std::printf("\nhot-scope allocations (contract checker%s): drain=%lu path_graphs=%lu "
               "bring_up=%lu pings=%lu\n",
               dumbnet::contracts::kCompiledIn ? "" : " COMPILED OUT",
               static_cast<unsigned long>(drain_allocs),

@@ -104,14 +104,24 @@ const SwitchGraph& ControllerService::RoutingGraph() {
       graph_version_ == kNoGraphVersion) {
     graph_cache_ = std::make_unique<SwitchGraph>(db_.mirror());
     graph_version_ = db_.version();
+    dag_cache_.Clear();  // every DAG was built over the old snapshot
   }
   return *graph_cache_;
 }
 
+const ShortestPathDag& ControllerService::RoutingDag(uint32_t root) {
+  const SwitchGraph& graph = RoutingGraph();
+  const uint64_t built = dag_cache_.stats().misses;
+  const ShortestPathDag& dag = dag_cache_.Get(graph, root);
+  if (dag_cache_.stats().misses != built) {
+    DN_COUNTER_INC("ctrl.dag_builds");
+  }
+  return dag;
+}
+
 void ControllerService::InvalidateRoutingCaches() {
   graph_cache_.reset();
-  graph_version_ = kNoGraphVersion;
-  sssp_cache_.Invalidate();
+  graph_version_ = kNoGraphVersion;  // the next RoutingGraph() rebuilds and drops the DAGs
   wire_cache_.clear();
   wire_cache_version_ = kNoGraphVersion;
 }
@@ -122,12 +132,11 @@ Result<TagList> ControllerService::TagsToHost(const HostLocation& dst, Rng* rng)
   if (!src_idx.ok() || !dst_idx.ok()) {
     return Error(ErrorCode::kNotFound, "controller or destination switch unknown");
   }
-  // Per-call randomized Dijkstra (scratch-based, so no allocation): response tags
-  // must re-randomize on every retry so repeated queries dodge links the
-  // controller has not yet learned are dead. The SSSP-tree cache is reserved for
-  // bulk work over a settled topology (bootstraps, batch precompute).
-  auto path = ShortestPathScaled(RoutingGraph(), src_idx.value(), dst_idx.value(), rng,
-                                 tags_scratch_, nullptr);
+  // A fresh walk per call over the shared controller-rooted DAG: response tags
+  // re-randomize on every retry, so repeated queries dodge links the controller
+  // has not yet learned are dead.
+  const ShortestPathDag& dag = RoutingDag(src_idx.value());
+  auto path = dag.Sample(RoutingGraph(), dst_idx.value(), rng);
   if (!path.ok()) {
     return path.error();
   }
@@ -159,15 +168,15 @@ void ControllerService::BootstrapHosts() {
     if (!to_controller.ok() || !ctrl_idx.ok()) {
       continue;
     }
-    // Per-host randomized paths, deliberately NOT the shared SSSP tree: each
-    // host's stored path-to-controller must be decorrelated from the others', or
-    // one link failure strands every host's control channel at once. The cached
-    // adjacency snapshot plus scratch still makes this allocation-free.
-    auto path = ShortestPathScaled(RoutingGraph(), to_controller.value(), ctrl_idx.value(),
-                                   &rng_, tags_scratch_, nullptr);
+    // A walk per host over the controller-rooted DAG, reversed: each host's
+    // stored path-to-controller draws its own tie-breaks, so the control
+    // channels stay decorrelated and one link failure cannot strand them all.
+    const ShortestPathDag& dag = RoutingDag(ctrl_idx.value());
+    auto path = dag.Sample(RoutingGraph(), to_controller.value(), &rng_);
     if (!path.ok()) {
       continue;
     }
+    std::reverse(path.value().begin(), path.value().end());
     auto up_tags = db_.CompileTagsForUidPath(db_.PathToUids(path.value()), controller_port_);
     if (!up_tags.ok()) {
       continue;
@@ -228,51 +237,11 @@ void ControllerService::ServePathRequest(const PathRequestPayload& req) {
     ++stats_.queries_failed;
     return;
   }
-  // The served graph's tie-breaks draw from a stream seeded by (src switch,
-  // dst switch, attempt) — never the shared rng_, so CPU-queue service order
-  // cannot leak into route content. That makes the graph a pure function of
-  // (switch pair, attempt, db snapshot), and therefore memoizable: hosts behind
-  // the same edge switch asking for the same destination switch get one shared
-  // immutable graph. Retries still decorrelate through `attempt`, and response
-  // *tags* stay per-requester below.
-  const uint32_t si = src_idx.value();
-  const uint32_t di = dst_idx.value();
-  const bool cacheable =
-      si < (1u << 24) && di < (1u << 24) && req.attempt < (1u << 16);
-  uint64_t cache_key = 0;
-  std::shared_ptr<WirePathGraph> wire;
-  if (cacheable) {
-    if (wire_cache_version_ != db_.version()) {
-      wire_cache_.clear();
-      wire_cache_version_ = db_.version();
-    }
-    cache_key = (static_cast<uint64_t>(si) << 40) | (static_cast<uint64_t>(di) << 16) |
-                req.attempt;
-    auto it = wire_cache_.find(cache_key);
-    if (it != wire_cache_.end()) {
-      ++stats_.wire_cache_hits;
-      wire = it->second;
-    }
-  }
+  std::shared_ptr<WirePathGraph> wire =
+      ServedGraph(src_idx.value(), dst_idx.value(), req.attempt);
   if (wire == nullptr) {
-    Rng graph_rng(config_.rng_seed ^
-                  footprint::FpKey(requester.value().switch_uid,
-                                   dst.value().switch_uid, req.attempt));
-    auto pg = BuildPathGraph(db_.mirror(), RoutingGraph(), si, di, config_.path_graph,
-                             &graph_rng, pg_scratch_);
-    if (!pg.ok()) {
-      ++stats_.queries_failed;
-      return;
-    }
-    wire = MakeWireGraph(pg.value(), requester.value().switch_uid,
-                         dst.value().switch_uid);
-    if (cacheable) {
-      ++stats_.wire_cache_misses;
-      if (wire_cache_.size() >= kWireCacheMaxEntries) {
-        wire_cache_.clear();  // epoch reset: bounded memory, still deterministic
-      }
-      wire_cache_.emplace(cache_key, wire);
-    }
+    ++stats_.queries_failed;
+    return;
   }
 
   Rng query_rng(config_.rng_seed ^
@@ -287,6 +256,62 @@ void ControllerService::ServePathRequest(const PathRequestPayload& req) {
   DN_TRACE_EVENT(kController, kPathServe, sim_->Now(), req.requester_mac, req.dst_mac);
   PathResponsePayload resp{req.dst_mac, dst.value(), std::move(wire)};
   agent_->SendTags(std::move(tags.value()), req.requester_mac, std::move(resp));
+}
+
+std::shared_ptr<WirePathGraph> ControllerService::ServedGraph(uint32_t si, uint32_t di,
+                                                              uint64_t attempt) {
+  // The served graph's tie-breaks draw from a stream seeded by (src switch,
+  // dst switch, attempt) — never the shared rng_, so CPU-queue service order
+  // cannot leak into route content. That makes the graph a pure function of
+  // (switch pair, attempt, db snapshot), and therefore memoizable: hosts behind
+  // the same edge switch asking for the same destination switch get one shared
+  // immutable graph. Retries still decorrelate through `attempt`, and response
+  // *tags* stay per-requester (ServePathRequest).
+  const bool cacheable = si < (1u << 24) && di < (1u << 24) && attempt < (1u << 16);
+  uint64_t cache_key = 0;
+  if (cacheable) {
+    if (wire_cache_version_ != db_.version()) {
+      wire_cache_.clear();
+      wire_cache_version_ = db_.version();
+    }
+    cache_key = (static_cast<uint64_t>(si) << 40) | (static_cast<uint64_t>(di) << 16) |
+                attempt;
+    auto it = wire_cache_.find(cache_key);
+    if (it != wire_cache_.end()) {
+      ++stats_.wire_cache_hits;
+      return it->second;
+    }
+  }
+  [[maybe_unused]] const int64_t build_start =
+      telemetry::Enabled() ? telemetry::ThreadCpuNs() : 0;
+  const uint64_t src_uid = db_.UidOf(si);
+  const uint64_t dst_uid = db_.UidOf(di);
+  Rng graph_rng(config_.rng_seed ^ footprint::FpKey(src_uid, dst_uid, attempt));
+  // The primary is a walk over the source-rooted DAG; the backup and detours
+  // are built around it.
+  const ShortestPathDag& dag = RoutingDag(si);
+  auto primary = dag.Sample(RoutingGraph(), di, &graph_rng);
+  if (!primary.ok()) {
+    return nullptr;
+  }
+  auto pg = BuildPathGraphAround(db_.mirror(), RoutingGraph(), std::move(primary.value()),
+                                 config_.path_graph, &graph_rng, pg_scratch_);
+  if (!pg.ok()) {
+    return nullptr;
+  }
+  std::shared_ptr<WirePathGraph> wire = MakeWireGraph(pg.value(), src_uid, dst_uid);
+  if (telemetry::Enabled()) {
+    DN_HISTOGRAM_RECORD("ctrl.graph_build_ns",
+                        static_cast<double>(telemetry::ThreadCpuNs() - build_start));
+  }
+  if (cacheable) {
+    ++stats_.wire_cache_misses;
+    if (wire_cache_.size() >= kWireCacheMaxEntries) {
+      wire_cache_.clear();  // epoch reset: bounded memory, still deterministic
+    }
+    wire_cache_.emplace(cache_key, wire);
+  }
+  return wire;
 }
 
 std::shared_ptr<WirePathGraph> ControllerService::MakeWireGraph(const PathGraph& pg,
@@ -353,41 +378,21 @@ Result<std::vector<WirePathGraph>> ControllerService::PrecomputePathGraphs(
   if (!src_idx.ok()) {
     return src_idx.error();
   }
-
-  // Resolve destinations first; unknown MACs are skipped, not fatal.
-  std::vector<uint32_t> dst_switches;
-  std::vector<uint64_t> dst_uids;
-  dst_switches.reserve(dst_macs.size());
-  dst_uids.reserve(dst_macs.size());
+  std::vector<WirePathGraph> out;
+  out.reserve(dst_macs.size());
   for (uint64_t mac : dst_macs) {
     auto loc = db_.LocateHost(mac);
     if (!loc.ok()) {
+      continue;  // unknown MAC
+    }
+    auto dst_idx = db_.IndexOf(loc.value().switch_uid);
+    if (!dst_idx.ok()) {
       continue;
     }
-    auto idx = db_.IndexOf(loc.value().switch_uid);
-    if (!idx.ok()) {
-      continue;
+    std::shared_ptr<WirePathGraph> wire = ServedGraph(src_idx.value(), dst_idx.value(), 0);
+    if (wire != nullptr) {  // null: the destination is cut off from the source
+      out.push_back(*wire);
     }
-    dst_switches.push_back(idx.value());
-    dst_uids.push_back(loc.value().switch_uid);
-  }
-
-  const SwitchGraph& graph = RoutingGraph();
-  const SsspTree& tree = sssp_cache_.Get(graph, graph_version_, src_idx.value(), &rng_);
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>();
-  }
-  auto built = BuildPathGraphBatch(db_.mirror(), graph, tree, dst_switches,
-                                   config_.path_graph, &rng_, pool_.get());
-
-  std::vector<WirePathGraph> out;
-  out.reserve(built.size());
-  for (size_t i = 0; i < built.size(); ++i) {
-    if (!built[i].ok()) {
-      continue;  // e.g. a destination cut off from the source
-    }
-    out.push_back(*MakeWireGraph(built[i].value(), src_host.value().switch_uid,
-                                 dst_uids[i]));
   }
   return out;
 }

@@ -4,6 +4,13 @@
 // handling (the asynchronous topology patch flood). Optionally mirrors every
 // topology event into a ReplicatedLog so standby controllers stay consistent
 // (the paper uses ZooKeeper for this).
+//
+// Every route the controller hands out is a walk sampled from a shortest-path
+// DAG (src/routing/shortest_path_dag.h) cached per (root switch, db version):
+// response tags and bootstrap tags from the DAG rooted at the controller's
+// switch, path-graph primaries from the DAG rooted at the requester's switch.
+// The DAG is shared; each walk draws from the query's own rng, so routes stay
+// decorrelated across hosts, queries and retries.
 #ifndef DUMBNET_SRC_CTRL_CONTROLLER_H_
 #define DUMBNET_SRC_CTRL_CONTROLLER_H_
 
@@ -17,9 +24,8 @@
 #include "src/ctrl/replicated_log.h"
 #include "src/host/host_agent.h"
 #include "src/routing/path_graph.h"
-#include "src/routing/sssp_cache.h"
+#include "src/routing/shortest_path_dag.h"
 #include "src/routing/topo_db.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 
@@ -80,27 +86,35 @@ class ControllerService {
   // paper stores in ZooKeeper for the standby controllers).
   void AttachLog(ReplicatedLog* log) { log_ = log; }
 
-  // Batch path-graph precompute: builds the wire path graph from `src_mac`'s edge
-  // switch to every destination's edge switch in one pass — the primaries share a
-  // single cached SSSP tree and the per-destination detour/backup work fans out
-  // over an internal thread pool. Destinations that cannot be served (unknown MAC,
-  // disconnected switch) are silently skipped; the returned vector holds one entry
-  // per successful destination, in input order. Errors only when `src_mac` itself
-  // is unknown.
+  // Path-graph precompute: the wire path graph from `src_mac`'s edge switch to
+  // every destination's edge switch, exactly as a first-attempt query would be
+  // served (same builder, same memo). Destinations that cannot be
+  // served (unknown MAC, disconnected switch) are silently skipped; the returned
+  // vector holds one entry per successful destination, in input order. Errors
+  // only when `src_mac` itself is unknown.
   Result<std::vector<WirePathGraph>> PrecomputePathGraphs(
       uint64_t src_mac, const std::vector<uint64_t>& dst_macs);
 
-  // Routing-cache observability (tests + benchmarks).
-  const SsspCache::Stats& sssp_cache_stats() const { return sssp_cache_.stats(); }
+  // Shortest-path DAG cache observability (tests + benchmarks): one lookup per
+  // route sampled, one miss per DAG built.
+  const ShortestPathDagCache::Stats& sssp_cache_stats() const { return dag_cache_.stats(); }
 
  private:
   // The adjacency snapshot for db_.mirror(), rebuilt only when the db version
-  // moved. Valid until the next db_ mutation.
+  // moved or InvalidateRoutingCaches() dropped it; a rebuild drops every cached
+  // DAG. Valid until the next db_ mutation.
   const SwitchGraph& RoutingGraph();
-  // Drops the graph snapshot and all cached SSSP trees. Must be called whenever
-  // db_ is *replaced* (version numbering restarts); plain mutations are caught by
-  // the version check in RoutingGraph().
+  // The shortest-path DAG rooted at switch `root` over RoutingGraph().
+  const ShortestPathDag& RoutingDag(uint32_t root);
+  // Drops the graph snapshot (and with it, at the next RoutingGraph(), every
+  // cached DAG) and all served graphs. Must be called whenever db_ is *replaced*
+  // (version numbering restarts); plain mutations are caught by the version
+  // check in RoutingGraph().
   void InvalidateRoutingCaches();
+  // The wire path graph served from switch `si` to switch `di` for `attempt`
+  // under the current db version: memoized in wire_cache_, built on a miss.
+  // Null when the pair is disconnected.
+  std::shared_ptr<WirePathGraph> ServedGraph(uint32_t si, uint32_t di, uint64_t attempt);
   // Converts a built PathGraph to its wire form under the current config.
   std::shared_ptr<WirePathGraph> MakeWireGraph(const PathGraph& pg, uint64_t src_uid,
                                                uint64_t dst_uid);
@@ -109,10 +123,11 @@ class ControllerService {
   void OnLinkEvent(const LinkEventPayload& ev);
   void FlushPatch();
   void BootstrapHosts();
-  // Tag path from the controller to a host (compiled on the global db). `rng`
-  // breaks equal-cost ties: bulk work (bootstraps) passes the shared stream,
-  // query serving passes a per-query stream derived from (requester, dst,
-  // attempt) so a response's content never depends on service order.
+  // Tag path from the controller to a host (compiled on the global db), sampled
+  // from the controller-rooted DAG. `rng` breaks equal-cost ties: bootstraps
+  // pass the shared stream, query serving passes a per-query stream derived from
+  // (requester, dst, attempt) so a response's content never depends on service
+  // order.
   Result<TagList> TagsToHost(const HostLocation& dst, Rng* rng);
 
   HostAgent* agent_;
@@ -126,8 +141,7 @@ class ControllerService {
   // Routing caches, all keyed on db_.version() (see RoutingGraph()).
   std::unique_ptr<SwitchGraph> graph_cache_;
   uint64_t graph_version_ = kNoGraphVersion;
-  SsspCache sssp_cache_;
-  SsspScratch tags_scratch_;
+  ShortestPathDagCache dag_cache_;
   PathGraphScratch pg_scratch_;
   // Served wire graphs memoized per (src switch, dst switch, attempt), valid for
   // one db version. Hosts behind the same edge switch asking for the same
@@ -136,7 +150,6 @@ class ControllerService {
   std::unordered_map<uint64_t, std::shared_ptr<WirePathGraph>> wire_cache_;
   uint64_t wire_cache_version_ = kNoGraphVersion;
   static constexpr size_t kWireCacheMaxEntries = 65536;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created by PrecomputePathGraphs
 
   static constexpr uint64_t kNoGraphVersion = UINT64_MAX;
 

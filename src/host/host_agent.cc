@@ -152,6 +152,12 @@ Status HostAgent::SendToController(Payload payload) {
   // static bootstrap path is only the cold-start fallback. Without this, a failure
   // on the bootstrap path would silently blackhole every path request.
   auto route = path_table_.RouteFor(controller_mac_, /*flow_id=*/0xC0C0);
+  if (!route.ok() && InstallRoutesFor(controller_mac_).ok()) {
+    // A failure starved the cached route and no repair found another at the
+    // time; the topology cache may since have learned of a link coming back,
+    // and the bootstrap path may still cross the dead one.
+    route = path_table_.RouteFor(controller_mac_, /*flow_id=*/0xC0C0);
+  }
   if (route.ok()) {
     SendTags(route.value()->tags, controller_mac_, std::move(payload));
   } else {

@@ -7,10 +7,11 @@ namespace dumbnet {
 // All construction logic lives here; friend of PathGraphScratch.
 class PathGraphBuilder {
  public:
-  // Completes `out` (src/dst/primary already set): backup path, detour sets, and
-  // the induced subgraph. Mirrors the historical allocating implementation
-  // operation-for-operation so rng draws and outputs are unchanged.
+  static ShortestPathDag& Dag(PathGraphScratch& sc) { return sc.dag_; }
   static SsspScratch& Dijkstra(PathGraphScratch& sc) { return sc.dijkstra_; }
+
+  // Completes `out` (src/dst/primary already set): backup path, detour sets, and
+  // the induced subgraph.
 
   static void Complete(const SwitchGraph& graph, const PathGraphParams& params, Rng* rng,
                        PathGraphScratch& sc, PathGraph& out) {
@@ -137,20 +138,14 @@ Result<PathGraph> BuildPathGraph(const Topology& topo, const SwitchGraph& graph,
                                  uint32_t src_switch, uint32_t dst_switch,
                                  const PathGraphParams& params, Rng* rng,
                                  PathGraphScratch& scratch) {
-  (void)topo;
-  PathGraph out;
-  out.src_switch = src_switch;
-  out.dst_switch = dst_switch;
-
-  // (i) Primary: randomized shortest path.
-  auto primary = ShortestPathScaled(graph, src_switch, dst_switch, rng,
-                                    PathGraphBuilder::Dijkstra(scratch), nullptr);
+  // (i) Primary: a shortest path with randomized equal-cost choices.
+  ShortestPathDag& dag = PathGraphBuilder::Dag(scratch);
+  dag.Build(graph, src_switch, PathGraphBuilder::Dijkstra(scratch));
+  auto primary = dag.Sample(graph, dst_switch, rng);
   if (!primary.ok()) {
     return primary.error();
   }
-  out.primary = std::move(primary.value());
-  PathGraphBuilder::Complete(graph, params, rng, scratch, out);
-  return out;
+  return BuildPathGraphAround(topo, graph, std::move(primary.value()), params, rng, scratch);
 }
 
 Result<PathGraph> BuildPathGraphAround(const Topology& topo, const SwitchGraph& graph,
@@ -165,46 +160,6 @@ Result<PathGraph> BuildPathGraphAround(const Topology& topo, const SwitchGraph& 
   out.dst_switch = primary.back();
   out.primary = std::move(primary);
   PathGraphBuilder::Complete(graph, params, rng, scratch, out);
-  return out;
-}
-
-std::vector<Result<PathGraph>> BuildPathGraphBatch(
-    const Topology& topo, const SwitchGraph& graph, const SsspTree& tree,
-    const std::vector<uint32_t>& dst_switches, const PathGraphParams& params, Rng* rng,
-    ThreadPool* pool) {
-  const size_t n = dst_switches.size();
-  std::vector<Result<PathGraph>> out(
-      n, Result<PathGraph>(Error(ErrorCode::kInternal, "not computed")));
-
-  // Fork one rng per destination up front (sequentially, so the batch result is a
-  // pure function of `rng`'s state, not of thread interleaving).
-  std::vector<Rng> rngs;
-  if (rng != nullptr) {
-    rngs.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      rngs.push_back(rng->Fork(i));
-    }
-  }
-
-  const size_t workers = pool != nullptr ? pool->concurrency() : 1;
-  std::vector<PathGraphScratch> scratches(workers);
-
-  auto build_one = [&](size_t i, size_t worker) {
-    auto primary = PathFromTree(tree, dst_switches[i]);
-    if (!primary.ok()) {
-      out[i] = primary.error();
-      return;
-    }
-    out[i] = BuildPathGraphAround(topo, graph, std::move(primary.value()), params,
-                                  rng != nullptr ? &rngs[i] : nullptr, scratches[worker]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, build_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      build_one(i, 0);
-    }
-  }
   return out;
 }
 

@@ -3,12 +3,12 @@
 // ε-good" local detours around every window of the primary, and (iii) a backup path
 // that avoids primary links where possible.
 //
-// Two construction tiers:
-//   - BuildPathGraph: one (src, dst) pair. The scratch overload reuses a
-//     PathGraphScratch so repeated builds do no O(V)/O(E) allocation.
-//   - BuildPathGraphBatch: many destinations from one source. Primaries come from
-//     a shared SSSP tree (one Dijkstra total instead of one per destination) and
-//     the per-destination detour/backup work fans out over a ThreadPool.
+// One construction path. The primary is a walk sampled from a shortest-path DAG
+// rooted at the source switch (shortest_path_dag.h), so equal-cost choices are
+// randomized per query; BuildPathGraphAround then adds the backup and the
+// detours. The controller serves from a DAG cached per (source, db version) and
+// calls BuildPathGraphAround directly; BuildPathGraph builds a fresh DAG in its
+// scratch and yields the same graph for the same rng state.
 #ifndef DUMBNET_SRC_ROUTING_PATH_GRAPH_H_
 #define DUMBNET_SRC_ROUTING_PATH_GRAPH_H_
 
@@ -17,9 +17,9 @@
 
 #include "src/routing/graph.h"
 #include "src/routing/shortest_path.h"
+#include "src/routing/shortest_path_dag.h"
 #include "src/topo/topology.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 
@@ -44,9 +44,9 @@ struct PathGraph {
   std::vector<LinkIndex> links;
 };
 
-// Reusable buffers for path-graph construction: Dijkstra/BFS scratch, the per-link
-// weight-scale vector used to repel the backup from the primary, and an
-// epoch-stamped vertex-membership set. One instance per thread.
+// Reusable buffers for path-graph construction: the primary's DAG, Dijkstra/BFS
+// scratch, the per-link weight-scale vector used to repel the backup from the
+// primary, and an epoch-stamped vertex-membership set. One instance per thread.
 class PathGraphScratch {
  public:
   PathGraphScratch() = default;
@@ -54,6 +54,7 @@ class PathGraphScratch {
  private:
   friend class PathGraphBuilder;
 
+  ShortestPathDag dag_;
   SsspScratch dijkstra_;
   SsspScratch bfs_a_;
   SsspScratch bfs_b_;
@@ -66,7 +67,8 @@ class PathGraphScratch {
 };
 
 // Builds the path graph between two switches. `graph` must be a current snapshot of
-// `topo`. Randomized equal-cost choices draw from `rng` when provided.
+// `topo`. Randomized equal-cost choices draw from `rng` when provided: first the
+// primary's walk (ShortestPathDag::Sample), then the backup's Dijkstra.
 Result<PathGraph> BuildPathGraph(const Topology& topo, const SwitchGraph& graph,
                                  uint32_t src_switch, uint32_t dst_switch,
                                  const PathGraphParams& params, Rng* rng = nullptr);
@@ -79,22 +81,11 @@ Result<PathGraph> BuildPathGraph(const Topology& topo, const SwitchGraph& graph,
                                  PathGraphScratch& scratch);
 
 // Completes a path graph around an externally supplied primary path (e.g. one
-// extracted from a cached SSSP tree): computes the backup, detour sets, and the
-// induced subgraph. `primary` must be a valid path in `graph`.
+// sampled from a cached ShortestPathDag): computes the backup, detour sets, and
+// the induced subgraph. `primary` must be a valid path in `graph`.
 Result<PathGraph> BuildPathGraphAround(const Topology& topo, const SwitchGraph& graph,
                                        SwitchPath primary, const PathGraphParams& params,
                                        Rng* rng, PathGraphScratch& scratch);
-
-// Builds path graphs from one source to many destinations. Primaries are extracted
-// from `tree` (which must be rooted at src_switch over `graph`); backup/detour work
-// for each destination runs concurrently on `pool` (or inline when pool is null).
-// Deterministic: each destination draws from its own fork of `rng`, so results do
-// not depend on thread scheduling. Per-destination failures (e.g. an unreachable
-// destination) yield error entries; the batch itself always succeeds.
-std::vector<Result<PathGraph>> BuildPathGraphBatch(
-    const Topology& topo, const SwitchGraph& graph, const SsspTree& tree,
-    const std::vector<uint32_t>& dst_switches, const PathGraphParams& params, Rng* rng,
-    ThreadPool* pool);
 
 // Counts distinct simple src→dst paths inside the path-graph subgraph, up to `cap`
 // (the subgraph can encode combinatorially many; Figure 12 reports this count).

@@ -1,7 +1,7 @@
 #include "src/routing/shortest_path.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 #include <queue>
 #include <set>
 
@@ -48,8 +48,8 @@ inline double EdgeWeight(const AdjEdge& e, const std::vector<double>* link_scale
   return e.weight;
 }
 
-// Shared scratch-based Dijkstra core. Early-exits at `dst` unless dst == kNoVertex
-// (full-tree mode). Results live in `scratch` until its next Prepare().
+// Shared scratch-based Dijkstra core; early-exits at `dst`. Results live in
+// `scratch` until its next Prepare().
 //
 // Vertices are finalized on first pop and never relaxed again. Without this,
 // randomized tie-breaking cascades on high-ECMP fabrics: every accepted tie
@@ -127,16 +127,18 @@ struct DijkstraItem {
 
 // Reusable state for Yen's spur searches. One KShortestPaths call runs
 // O(k * path-length) spur Dijkstras over the same graph; allocating the cost /
-// parent / ban arrays once and undoing only the touched entries between
-// searches keeps each spur at O(edges relaxed) instead of O(V) setup. The
-// banned-edge set is at most k-1 entries per spur, so a linear-scanned vector
-// beats a node-based set on every fabric we simulate.
+// parent / ban arrays, the heap and the spur path once and undoing only the
+// touched entries between searches keeps each spur at O(edges relaxed) with no
+// allocation. The banned-edge set is at most k-1 entries per spur, so a
+// linear-scanned vector beats a node-based set on every fabric we simulate.
 struct SpurScratch {
   std::vector<double> cost;
   std::vector<uint32_t> parent;
   std::vector<char> banned_vertex;
   std::vector<std::pair<uint32_t, uint32_t>> banned_edges;
   std::vector<uint32_t> touched;
+  std::vector<DijkstraItem> heap;
+  SwitchPath path;  // the last successful spur search's result
 
   void Init(size_t n) {
     cost.assign(n, kInfCost);
@@ -155,23 +157,28 @@ struct SpurScratch {
   }
 };
 
-// Spur-path Dijkstra for Yen's algorithm: same relaxation order and lazy
-// deletion as the classic allocating variant (deterministic — no randomized
-// tie-break on spur paths), with bans and arrays living in SpurScratch.
-// Callers must ResetTouched() between searches.
-Result<SwitchPath> DijkstraSpur(const SwitchGraph& graph, uint32_t src, uint32_t dst,
-                                SpurScratch& s) {
+// Spur-path Dijkstra for Yen's algorithm: lazy deletion, deterministic (no
+// randomized tie-break on spur paths), with bans, arrays and the heap living in
+// SpurScratch. The heap is driven by the same push_heap/pop_heap calls and
+// comparator std::priority_queue<..., std::greater<>> makes, so pop order is
+// unchanged. On success the path is left in s.path. Callers must
+// ResetTouched() between searches.
+bool DijkstraSpur(const SwitchGraph& graph, uint32_t src, uint32_t dst, SpurScratch& s) {
   if (src >= graph.size() || dst >= graph.size()) {
-    return Error(ErrorCode::kOutOfRange, "vertex out of range");
+    return false;
   }
-  std::priority_queue<DijkstraItem, std::vector<DijkstraItem>, std::greater<DijkstraItem>> pq;
+  const std::greater<DijkstraItem> greater;
+  auto& heap = s.heap;
+  heap.clear();
   s.cost[src] = 0.0;
   s.touched.push_back(src);
-  pq.push({0.0, 0, src});
-  while (!pq.empty()) {
-    double c = pq.top().cost;
-    uint32_t u = pq.top().vertex;
-    pq.pop();
+  heap.push_back({0.0, 0, src});
+  std::push_heap(heap.begin(), heap.end(), greater);
+  while (!heap.empty()) {
+    const double c = heap.front().cost;
+    const uint32_t u = heap.front().vertex;
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    heap.pop_back();
     if (c > s.cost[u]) {
       continue;
     }
@@ -194,25 +201,23 @@ Result<SwitchPath> DijkstraSpur(const SwitchGraph& graph, uint32_t src, uint32_t
         }
         s.cost[e.to] = nc;
         s.parent[e.to] = u;
-        pq.push({nc, 0, e.to});
+        heap.push_back({nc, 0, e.to});
+        std::push_heap(heap.begin(), heap.end(), greater);
       }
     }
   }
   if (s.cost[dst] == kInfCost) {
-    return Error(ErrorCode::kUnavailable, "destination unreachable");
+    return false;
   }
-  SwitchPath path;
+  s.path.clear();
   for (uint32_t v = dst; v != kNoVertex; v = s.parent[v]) {
-    path.push_back(v);
+    s.path.push_back(v);
     if (v == src) {
       break;
     }
   }
-  std::reverse(path.begin(), path.end());
-  if (path.front() != src) {
-    return Error(ErrorCode::kInternal, "path reconstruction failed");
-  }
-  return path;
+  std::reverse(s.path.begin(), s.path.end());
+  return s.path.front() == src;
 }
 
 }  // namespace
@@ -268,6 +273,14 @@ Result<SwitchPath> ShortestPath(const SwitchGraph& graph, uint32_t src, uint32_t
   return ExtractPath(scratch, src, dst);
 }
 
+void DijkstraCostsInto(const SwitchGraph& graph, uint32_t src, SsspScratch& scratch) {
+  if (src >= graph.size()) {
+    scratch.Prepare(graph.size());
+    return;
+  }
+  DijkstraInto(graph, src, kNoVertex, /*rng=*/nullptr, scratch, /*link_scale=*/nullptr);
+}
+
 Result<SwitchPath> ShortestPathScaled(const SwitchGraph& graph, uint32_t src, uint32_t dst,
                                       Rng* rng, SsspScratch& scratch,
                                       const std::vector<double>* link_scale) {
@@ -276,49 +289,6 @@ Result<SwitchPath> ShortestPathScaled(const SwitchGraph& graph, uint32_t src, ui
   }
   DijkstraInto(graph, src, dst, rng, scratch, link_scale);
   return ExtractPath(scratch, src, dst);
-}
-
-SsspTree BuildSsspTree(const SwitchGraph& graph, uint32_t src, Rng* rng,
-                       SsspScratch* scratch) {
-  SsspTree tree;
-  tree.src = src;
-  tree.cost.assign(graph.size(), kInfCost);
-  tree.parent.assign(graph.size(), kNoVertex);
-  if (src >= graph.size()) {
-    return tree;
-  }
-  SsspScratch local;
-  SsspScratch& s = scratch != nullptr ? *scratch : local;
-  DijkstraInto(graph, src, kNoVertex, rng, s, nullptr);
-  for (uint32_t v : s.touched()) {
-    tree.cost[v] = s.CostOr(v, kInfCost);
-    tree.parent[v] = s.ParentOr(v, kNoVertex);
-  }
-  return tree;
-}
-
-Result<SwitchPath> PathFromTree(const SsspTree& tree, uint32_t dst) {
-  if (dst >= tree.cost.size() || tree.src == kNoVertex) {
-    return Error(ErrorCode::kOutOfRange, "vertex out of range");
-  }
-  if (tree.cost[dst] == kInfCost) {
-    return Error(ErrorCode::kUnavailable, "destination unreachable");
-  }
-  SwitchPath path;
-  for (uint32_t v = dst; v != kNoVertex; v = tree.parent[v]) {
-    path.push_back(v);
-    if (v == tree.src) {
-      break;
-    }
-    if (path.size() > tree.cost.size()) {
-      return Error(ErrorCode::kInternal, "cycle in SSSP tree");
-    }
-  }
-  std::reverse(path.begin(), path.end());
-  if (path.front() != tree.src) {
-    return Error(ErrorCode::kInternal, "path reconstruction failed");
-  }
-  return path;
 }
 
 Result<double> PathCost(const SwitchGraph& graph, const SwitchPath& path) {
@@ -390,13 +360,13 @@ Result<std::vector<SwitchPath>> KShortestPaths(const SwitchGraph& graph, uint32_
         }
       }
 
-      auto spur_path = DijkstraSpur(graph, spur, dst, scratch);
+      const bool found = DijkstraSpur(graph, spur, dst, scratch);
       scratch.ResetTouched();
-      if (!spur_path.ok()) {
+      if (!found) {
         continue;
       }
       SwitchPath total = root;
-      total.insert(total.end(), spur_path.value().begin() + 1, spur_path.value().end());
+      total.insert(total.end(), scratch.path.begin() + 1, scratch.path.end());
       if (seen.count(total) > 0) {
         continue;
       }

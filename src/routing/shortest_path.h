@@ -1,11 +1,11 @@
-// Shortest-path primitives: BFS hop distances, Dijkstra with randomized equal-cost
-// tie-breaking (the paper's primary-path generator), and Yen's k-shortest paths
-// (what TopoCache computes over its cached subgraph).
+// Shortest-path primitives: BFS hop distances, point-to-point Dijkstra with
+// randomized equal-cost tie-breaking (what the path graph's backup uses, under a
+// per-link weight scale), and Yen's k-shortest paths (what TopoCache computes
+// over its cached subgraph). Primaries and controller routes are not drawn here:
+// they are sampled from a per-root shortest-path DAG (shortest_path_dag.h).
 //
 // Hot-path variants take an SsspScratch: epoch-stamped reusable buffers so repeated
-// queries do zero O(V) allocation or clearing. Full single-source trees (SsspTree)
-// let one Dijkstra run serve path extractions to every destination — the
-// controller's per-source cache (sssp_cache.h) is built on them.
+// queries do zero O(V) allocation or clearing.
 #ifndef DUMBNET_SRC_ROUTING_SHORTEST_PATH_H_
 #define DUMBNET_SRC_ROUTING_SHORTEST_PATH_H_
 
@@ -78,15 +78,6 @@ class SsspScratch {
   uint32_t epoch_ = 0;
 };
 
-// A full shortest-path tree from one source: extract a path to any destination in
-// O(path length) with PathFromTree. `parent[v]` is kNoVertex for the source and
-// unreachable vertices; `cost[v]` is kInfCost when unreachable.
-struct SsspTree {
-  uint32_t src = kNoVertex;
-  std::vector<double> cost;
-  std::vector<uint32_t> parent;
-};
-
 // Unweighted hop distances from `src` to every switch (kNoVertex-reachable entries
 // are UINT32_MAX).
 std::vector<uint32_t> BfsDistances(const SwitchGraph& graph, uint32_t src);
@@ -104,6 +95,10 @@ void BfsDistancesInto(const SwitchGraph& graph, uint32_t src, SsspScratch& scrat
 Result<SwitchPath> ShortestPath(const SwitchGraph& graph, uint32_t src, uint32_t dst,
                                 Rng* rng = nullptr);
 
+// Full single-source Dijkstra from `src`: no early exit, no randomness. Read the
+// costs via scratch.CostOr()/touched(). ShortestPathDag::Build runs it.
+void DijkstraCostsInto(const SwitchGraph& graph, uint32_t src, SsspScratch& scratch);
+
 // Scratch-based point-to-point Dijkstra with an optional per-link weight
 // multiplier (`link_scale`, indexed by LinkIndex; entries default to 1.0 — pass
 // nullptr for none). The multiplier is how backup paths are repelled from primary
@@ -111,13 +106,6 @@ Result<SwitchPath> ShortestPath(const SwitchGraph& graph, uint32_t src, uint32_t
 Result<SwitchPath> ShortestPathScaled(const SwitchGraph& graph, uint32_t src, uint32_t dst,
                                       Rng* rng, SsspScratch& scratch,
                                       const std::vector<double>* link_scale);
-
-// Full single-source Dijkstra (no early exit): one run answers every destination.
-SsspTree BuildSsspTree(const SwitchGraph& graph, uint32_t src, Rng* rng = nullptr,
-                       SsspScratch* scratch = nullptr);
-
-// Walks parent pointers in `tree` back from `dst`. Error if unreachable.
-Result<SwitchPath> PathFromTree(const SsspTree& tree, uint32_t dst);
 
 // Yen's algorithm: up to k loop-free shortest paths in nondecreasing cost order.
 // Returns at least one path or an error if src/dst are disconnected.

@@ -34,10 +34,9 @@
 // independently and hazard detection stays correct per shard — a cross-shard
 // send is not a same-batch hazard, it is a channel write ordered by the window
 // barrier. The runtime enable bit is an atomic read by every thread. DN_FP_*
-// macros must still not appear in code reachable from ThreadPool workers (e.g.
-// the batched path-graph builders): a pool worker has no simulator batch open,
-// so its records would silently vanish instead of being conflict-checked
-// (dumbnet-lint's fp-in-pool rule flags this).
+// macros belong on threads that execute simulator events: a thread with no
+// simulator batch open has its records silently vanish instead of being
+// conflict-checked.
 #ifndef DUMBNET_SRC_SIM_FOOTPRINT_H_
 #define DUMBNET_SRC_SIM_FOOTPRINT_H_
 

@@ -1,6 +1,7 @@
 #include "src/telemetry/telemetry.h"
 
 #include <algorithm>
+#include <ctime>
 #include <fstream>
 
 namespace dumbnet {
@@ -15,6 +16,13 @@ void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
 }
 #endif
+
+int64_t ThreadCpuNs() {
+  timespec ts{};
+  // dn-lint: allow(wall-clock, CPU-time measurement only; never reaches simulated state)
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000LL + ts.tv_nsec;
+}
 
 namespace {
 

@@ -13,7 +13,7 @@
 // Metric objects are owned by the registry and never deallocated while the
 // process lives, so call sites may cache raw pointers (the DN_*_INC macros
 // cache one in a function-local static). Counters and gauges are relaxed
-// atomics — safe to bump from ThreadPool workers; histograms take a light
+// atomics — safe to bump from any thread; histograms take a light
 // mutex and are meant for packet-level (not per-event) paths.
 #ifndef DUMBNET_SRC_TELEMETRY_TELEMETRY_H_
 #define DUMBNET_SRC_TELEMETRY_TELEMETRY_H_
@@ -44,6 +44,11 @@ inline constexpr bool kCompiledIn = false;
 constexpr bool Enabled() { return false; }
 inline void SetEnabled(bool) {}
 #endif
+
+// CPU time consumed by the calling thread, in ns: what a layer timed with it
+// (ctrl.graph_build_ns) costs, independent of virtual time and of preemption.
+// Read it only when Enabled(); the value never feeds simulated state.
+int64_t ThreadCpuNs();
 
 // Monotonic event count. Relaxed increments: TSan-clean from pool workers.
 class Counter {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/invariants.h"
+#include "src/telemetry/telemetry.h"
 #include "src/topo/generators.h"
 #include "tests/test_fabric.h"
 
@@ -233,39 +234,120 @@ TEST_F(ControllerTest, PrecomputePathGraphsServesEveryKnownDestination) {
   EXPECT_FALSE(controller_->PrecomputePathGraphs(0xdeadbeefULL, dst_macs).ok());
 }
 
-TEST_F(ControllerTest, SsspCacheHitsOnRepeatAndInvalidatesOnLinkEvent) {
+// Precompute and query serving share one builder, and a served graph is a pure
+// function of (switch pair, attempt, db content): rebuilt from empty caches, the
+// precomputed graph is the one a live query was answered with.
+TEST_F(ControllerTest, PrecomputeReturnsTheGraphAQueryIsServed) {
   BringUp();
-  HostAgent& src = fabric_->agent(0);
-  std::vector<uint64_t> dst_macs = {fabric_->agent(12).mac(), fabric_->agent(20).mac()};
-
-  uint64_t misses0 = controller_->sssp_cache_stats().misses;
-  ASSERT_TRUE(controller_->PrecomputePathGraphs(src.mac(), dst_macs).ok());
-  EXPECT_EQ(controller_->sssp_cache_stats().misses, misses0 + 1);
-
-  // Same source, unchanged topology: the tree is reused.
-  uint64_t hits0 = controller_->sssp_cache_stats().hits;
-  ASSERT_TRUE(controller_->PrecomputePathGraphs(src.mac(), dst_macs).ok());
-  EXPECT_EQ(controller_->sssp_cache_stats().hits, hits0 + 1);
-  EXPECT_EQ(controller_->sssp_cache_stats().misses, misses0 + 1);
-
-  // A link event bumps the db version: the next precompute must recompute, and
-  // its output must avoid the dead link.
-  LinkIndex li = fabric_->topo().LinkAtPort(spines_[0], 1);
-  ASSERT_NE(li, kInvalidLink);
-  fabric_->topo().SetLinkUp(li, false);
-  fabric_->Run();
-  auto graphs = controller_->PrecomputePathGraphs(src.mac(), dst_macs);
-  ASSERT_TRUE(graphs.ok());
-  EXPECT_EQ(controller_->sssp_cache_stats().misses, misses0 + 2);
-  uint64_t spine_uid = fabric_->topo().switch_at(spines_[0]).uid;
-  uint64_t leaf_uid = fabric_->topo().switch_at(leaves_[0]).uid;
-  for (const WirePathGraph& wg : graphs.value()) {
-    for (const WireLink& wl : wg.links) {
-      EXPECT_FALSE((wl.uid_a == spine_uid && wl.uid_b == leaf_uid) ||
-                   (wl.uid_a == leaf_uid && wl.uid_b == spine_uid))
-          << "path graph still uses the dead link";
+  HostAgent& src = fabric_->agent(12);  // leaf 2
+  HostAgent& dst = fabric_->agent(21);  // leaf 4
+  std::vector<WirePathGraph> served;
+  src.SetControlHandler([&](const Packet& pkt) {
+    if (const auto* resp = pkt.As<PathResponsePayload>();
+        resp != nullptr && resp->dst_mac == dst.mac() && resp->graph != nullptr) {
+      served.push_back(*resp->graph);
     }
+    return false;  // the agent still installs the response
+  });
+  ASSERT_TRUE(src.Send(dst.mac(), 5, DataPayload{5, 1, 0, false, 100}).ok());
+  fabric_->Run();
+  ASSERT_EQ(served.size(), 1u) << "expected one first-attempt answer";
+
+  // Same db content, every routing cache dropped.
+  const uint64_t dag_builds = controller_->sssp_cache_stats().misses;
+  controller_->AdoptDatabase(controller_->db());
+  auto pre = controller_->PrecomputePathGraphs(src.mac(), {dst.mac()});
+  ASSERT_TRUE(pre.ok());
+  ASSERT_EQ(pre.value().size(), 1u);
+  EXPECT_GT(controller_->sssp_cache_stats().misses, dag_builds);
+  const WirePathGraph& a = pre.value()[0];
+  const WirePathGraph& b = served[0];
+  EXPECT_EQ(a.src_uid, b.src_uid);
+  EXPECT_EQ(a.dst_uid, b.dst_uid);
+  EXPECT_EQ(a.primary, b.primary);
+  EXPECT_EQ(a.backup, b.backup);
+  ASSERT_EQ(a.links.size(), b.links.size());
+  for (size_t i = 0; i < a.links.size(); ++i) {
+    EXPECT_TRUE(a.links[i].uid_a == b.links[i].uid_a && a.links[i].port_a == b.links[i].port_a &&
+                a.links[i].uid_b == b.links[i].uid_b && a.links[i].port_b == b.links[i].port_b)
+        << "link " << i;
   }
+}
+
+// One DAG per source switch and db version serves every route drawn from it:
+// two destinations behind different switches cost one build, and a live query
+// from the same switch later builds nothing.
+TEST_F(ControllerTest, OneDagPerSourceServesEveryDestination) {
+  BringUp();
+  HostAgent& src = fabric_->agent(12);  // leaf 2
+  HostAgent& dst = fabric_->agent(5);   // leaf 1
+  int received = 0;
+  dst.SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
+  telemetry::Counter* dag_builds =
+      telemetry::MetricsRegistry::Global().GetCounter("ctrl.dag_builds");
+
+  // The same db content adopted again drops every routing cache; re-bootstrapping
+  // builds only the controller switch's DAG (leaf 0), so leaf 2 has none yet.
+  controller_->AdoptDatabase(controller_->db());
+  const ShortestPathDagCache::Stats before = controller_->sssp_cache_stats();
+  const uint64_t builds_before = dag_builds->value();
+  auto graphs = controller_->PrecomputePathGraphs(
+      src.mac(), {fabric_->agent(16).mac(), fabric_->agent(21).mac()});  // leaves 3, 4
+  ASSERT_TRUE(graphs.ok());
+  ASSERT_EQ(graphs.value().size(), 2u);
+  EXPECT_EQ(controller_->sssp_cache_stats().misses, before.misses + 1);
+  EXPECT_EQ(controller_->sssp_cache_stats().hits, before.hits + 1);
+  if (telemetry::Enabled()) {
+    EXPECT_EQ(dag_builds->value(), builds_before + 1);
+  }
+
+  // Deliver the bootstraps (hosts then warm their controller routes), and serve
+  // a query for a pair nothing has asked for: both its walks are cache hits.
+  fabric_->Run();
+  const ShortestPathDagCache::Stats settled = controller_->sssp_cache_stats();
+  const uint64_t served = controller_->stats().queries_served;
+  ASSERT_TRUE(src.Send(dst.mac(), 9, DataPayload{}).ok());
+  fabric_->Run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(controller_->stats().queries_served, served + 1);
+  EXPECT_EQ(controller_->sssp_cache_stats().misses, settled.misses);
+  EXPECT_EQ(controller_->sssp_cache_stats().hits, settled.hits + 2);  // tags + primary
+}
+
+// Leaf 2 reaches leaf 0 through either spine. Kill spine 0's link to leaf 0:
+// the next primary must cross spine 1. Then adopt a database where instead
+// spine 1's link is down (a replaced db restarts version numbering, so its
+// version may equal the cached one): the primary must move back to spine 0.
+// A stale DAG from either phase would route over a dead link.
+TEST_F(ControllerTest, LinkDownAndAdoptDatabaseNeverServeAStaleDag) {
+  BringUp();
+  HostAgent& src = fabric_->agent(12);  // leaf 2
+  const std::vector<uint64_t> to_leaf0 = {fabric_->agent(1).mac()};
+  const uint64_t spine0 = fabric_->topo().switch_at(spines_[0]).uid;
+  const uint64_t spine1 = fabric_->topo().switch_at(spines_[1]).uid;
+  auto via_spine = [&]() -> uint64_t {
+    auto graphs = controller_->PrecomputePathGraphs(src.mac(), to_leaf0);
+    EXPECT_TRUE(graphs.ok());
+    if (!graphs.ok() || graphs.value().size() != 1 || graphs.value()[0].primary.size() != 3) {
+      ADD_FAILURE() << "expected one leaf-spine-leaf primary";
+      return 0;
+    }
+    return graphs.value()[0].primary[1];
+  };
+  ASSERT_NE(via_spine(), 0u);
+  TopoDb snapshot = controller_->db();
+
+  uint64_t builds = controller_->sssp_cache_stats().misses;
+  fabric_->topo().SetLinkUp(fabric_->topo().LinkAtPort(spines_[0], 1), false);
+  fabric_->Run();
+  EXPECT_EQ(via_spine(), spine1);
+  EXPECT_GT(controller_->sssp_cache_stats().misses, builds);
+
+  snapshot.SetLinkState(spine1, 1, false);
+  builds = controller_->sssp_cache_stats().misses;
+  controller_->AdoptDatabase(std::move(snapshot));
+  EXPECT_EQ(via_spine(), spine0);
+  EXPECT_GT(controller_->sssp_cache_stats().misses, builds);
 }
 
 }  // namespace

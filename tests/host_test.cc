@@ -332,5 +332,76 @@ TEST(HostAgentTest, UnservablePathRequestGivesUpAndIsCounted) {
   EXPECT_STREQ(telemetry::EventKindName(telemetry::EventKind::kGiveUp), "giveup");
 }
 
+// A failure that starves every cached route to the controller must not leave
+// control traffic on the static bootstrap path once another link comes back:
+// the next request leaves over a route recomputed from the topology cache. The
+// bootstrap path is pinned through spine 0 and only the spine 1 uplink comes
+// back, so the outcome depends on no tie-break.
+TEST(HostAgentTest, ControlTrafficLeavesOverARecomputedControllerRoute) {
+  auto tb = MakePaperTestbed();
+  ASSERT_TRUE(tb.ok());
+  const std::vector<uint32_t> spines = tb.value().spines;
+  const uint32_t leaf0 = tb.value().leaves[0];
+  const uint32_t leaf2 = tb.value().leaves[2];
+  TestFabric fabric(std::move(tb.value().topo));
+  fabric.BringUpAdopted(25);  // controller on leaf 0
+  fabric.Run();
+  HostAgent& src = fabric.agent(12);  // leaf 2
+  HostAgent& dst = fabric.agent(20);  // leaf 4, never asked for below
+  const HostAgent& ctrl = fabric.agent(25);
+  int received = 0;
+  dst.SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
+
+  // Leaf 2's uplink port to each spine.
+  std::vector<PortNum> uplink(spines.size(), 0);
+  const SwitchInfo& leaf2_info = fabric.topo().switch_at(leaf2);
+  for (PortNum p = 1; p <= leaf2_info.num_ports; ++p) {
+    auto peer = fabric.topo().PeerOf(leaf2, p);
+    for (size_t i = 0; peer.ok() && i < spines.size(); ++i) {
+      if (peer.value().node == NodeId::Switch(spines[i])) {
+        uplink[i] = p;
+      }
+    }
+  }
+  ASSERT_NE(uplink[0], 0);
+  ASSERT_NE(uplink[1], 0);
+
+  // Re-bootstrap src with its controller path pinned leaf 2 -> spine 0 -> leaf 0.
+  const Topology& topo = fabric.topo();
+  auto boot_tags = fabric.controller().db().CompileTagsForUidPath(
+      {topo.switch_at(leaf2).uid, topo.switch_at(spines[0]).uid, topo.switch_at(leaf0).uid},
+      ctrl.self_location().port);
+  ASSERT_TRUE(boot_tags.ok());
+  BootstrapPayload boot;
+  boot.self = src.self_location();
+  boot.controller_mac = ctrl.mac();
+  boot.controller_location = ctrl.self_location();
+  boot.path_to_controller = boot_tags.value();
+  src.ApplyBootstrap(boot);
+  fabric.Run();
+  ASSERT_NE(src.path_table().Find(ctrl.mac()), nullptr) << "no cached controller route";
+
+  // Both uplinks die: the cached controller route starves and cannot be
+  // repaired, so the warm-up request it triggers gives up.
+  const LinkIndex up0 = fabric.topo().LinkAtPort(leaf2, uplink[0]);
+  const LinkIndex up1 = fabric.topo().LinkAtPort(leaf2, uplink[1]);
+  fabric.topo().SetLinkUp(up0, false);
+  fabric.topo().SetLinkUp(up1, false);
+  fabric.Run();
+  ASSERT_FALSE(src.path_table().RouteFor(ctrl.mac(), 0xC0C0).ok());
+
+  // Spine 1's uplink comes back; the bootstrap path still crosses the dead one.
+  fabric.topo().SetLinkUp(up1, true);
+  fabric.Run();
+  const uint64_t giveups = src.stats().path_request_giveups;
+  ASSERT_TRUE(src.Send(dst.mac(), 1, DataPayload{}).ok());
+  fabric.Run();
+  EXPECT_EQ(received, 1) << "the path request never reached the controller";
+  EXPECT_EQ(src.stats().path_request_giveups, giveups);
+  auto route = src.path_table().RouteFor(ctrl.mac(), 0xC0C0);
+  ASSERT_TRUE(route.ok());
+  EXPECT_FALSE(route.value()->UsesEdge(topo.switch_at(leaf2).uid, topo.switch_at(spines[0]).uid));
+}
+
 }  // namespace
 }  // namespace dumbnet

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/analysis/invariants.h"
 #include "src/routing/graph.h"
 #include "src/routing/path_graph.h"
 #include "src/routing/shortest_path.h"
+#include "src/routing/shortest_path_dag.h"
 #include "src/routing/tags.h"
 #include "src/topo/generators.h"
+#include "tests/random_topo.h"
 
 namespace dumbnet {
 namespace {
@@ -137,6 +141,37 @@ TEST(KspTest, FatTreeEcmpCount) {
     }
   }
   EXPECT_EQ(minimal, 4u);
+}
+
+// Yen's output on a k=8 fat-tree, pinned by digest: the spur search keeps its
+// heap in reusable scratch, and that must not change its pop order, so the
+// routes hosts compile from these paths stay bit-identical.
+TEST(KspTest, FatTreeOutputIsPinned) {
+  FatTreeConfig config;
+  config.k = 8;
+  config.attach_hosts = false;
+  auto ft = MakeFatTree(config);
+  ASSERT_TRUE(ft.ok());
+  SwitchGraph g(ft.value().topo);
+  const std::vector<uint32_t>& edge = ft.value().edge;
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over path lengths and vertices
+  auto mix = [&digest](uint64_t x) { digest = (digest ^ x) * 0x100000001b3ULL; };
+  size_t paths = 0;
+  for (size_t s = 0; s < edge.size(); s += 5) {
+    for (size_t d = 1; d < edge.size(); d += 3) {
+      auto ksp = KShortestPaths(g, edge[s], edge[d], 4);
+      ASSERT_TRUE(ksp.ok());
+      for (const SwitchPath& p : ksp.value()) {
+        ++paths;
+        mix(p.size());
+        for (uint32_t v : p) {
+          mix(v);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(paths, 302u);
+  EXPECT_EQ(digest, 0x4b6a6a279f949a2dULL);
 }
 
 TEST(TagsTest, CompileAndFormat) {
@@ -359,32 +394,172 @@ TEST(ShortestPathTest, ScaledVariantMatchesPlainWithSameSeed) {
   }
 }
 
-TEST(SsspTreeTest, TreePathsAreShortest) {
-  Topology t = MediumCube();
-  SwitchGraph g(t);
-  Rng rng(5);
-  SsspTree tree = BuildSsspTree(g, 0, &rng);
-  std::vector<uint32_t> dist = BfsDistances(g, 0);
-  for (uint32_t dst = 0; dst < g.size(); ++dst) {
-    auto path = PathFromTree(tree, dst);
-    ASSERT_TRUE(path.ok()) << "dst " << dst;
-    // Unit weights: tree distance == BFS hop count, path length == distance + 1.
-    EXPECT_EQ(path.value().size(), static_cast<size_t>(dist[dst]) + 1);
-    EXPECT_EQ(tree.cost[dst], static_cast<double>(dist[dst]));
-    EXPECT_EQ(path.value().front(), 0u);
-    EXPECT_EQ(path.value().back(), dst);
-    // Every step must be an actual edge.
-    EXPECT_TRUE(PathCost(g, path.value()).ok());
+// ---------------------------------------------------------------------------
+// Shortest-path DAG: the engine behind every randomized route the controller
+// serves.
+// ---------------------------------------------------------------------------
+
+struct NamedGraph {
+  std::string name;
+  Topology topo;
+};
+
+// Leaf-spine, fat-tree, jellyfish and random graphs: every shape the sampler
+// must handle, from pure ECMP fabrics to irregular ones.
+std::vector<NamedGraph> SamplerFabrics() {
+  std::vector<NamedGraph> out;
+  LeafSpineConfig ls;
+  ls.num_spine = 4;
+  ls.num_leaf = 6;
+  ls.hosts_per_leaf = 0;
+  out.push_back({"leafspine", std::move(MakeLeafSpine(ls).value().topo)});
+  FatTreeConfig ft;
+  ft.k = 6;
+  ft.attach_hosts = false;
+  out.push_back({"fattree6", std::move(MakeFatTree(ft).value().topo)});
+  for (uint64_t seed : {1u, 2u}) {
+    JellyfishConfig jf;
+    jf.num_switches = 40;
+    jf.network_degree = 5;
+    jf.hosts_per_switch = 0;
+    jf.seed = seed;
+    out.push_back({"jellyfish" + std::to_string(seed), std::move(MakeJellyfish(jf).value().topo)});
+  }
+  for (uint64_t seed : {3u, 4u}) {
+    out.push_back({"random" + std::to_string(seed),
+                   testing_topo::RandomTopology(seed, 30, 25)});
+  }
+  return out;
+}
+
+void ExpectSamplesAreShortest(const std::string& name, const SwitchGraph& g) {
+  ShortestPathDag dag;
+  SsspScratch scratch;
+  for (uint32_t root = 0; root < g.size(); root += 3) {
+    dag.Build(g, root, scratch);
+    for (uint32_t target = 0; target < g.size(); ++target) {
+      auto reference = ShortestPath(g, root, target);
+      ASSERT_TRUE(reference.ok()) << name;
+      const double best = PathCost(g, reference.value()).value();
+      EXPECT_EQ(dag.CostTo(target), best) << name << " " << root << "->" << target;
+      for (uint64_t seed : {11u, 12u, 13u}) {
+        Rng rng(seed);
+        auto path = dag.Sample(g, target, &rng);
+        ASSERT_TRUE(path.ok()) << name << " " << root << "->" << target;
+        EXPECT_EQ(path.value().front(), root);
+        EXPECT_EQ(path.value().back(), target);
+        auto cost = PathCost(g, path.value());
+        ASSERT_TRUE(cost.ok()) << name << ": sampled a non-edge";
+        EXPECT_EQ(cost.value(), best) << name << " " << root << "->" << target;
+      }
+    }
   }
 }
 
-TEST(SsspTreeTest, PathFromTreeRejectsUnreachable) {
-  Topology t = Diamond();
-  t.AddSwitch(8);  // isolated
+TEST(ShortestPathDagTest, SampledPathsAreShortestOnEveryFabricShape) {
+  for (const NamedGraph& fabric : SamplerFabrics()) {
+    SwitchGraph g(fabric.topo);
+    ExpectSamplesAreShortest(fabric.name, g);
+    // Non-uniform weights: equal cost no longer means equal hop count.
+    SwitchGraph weighted(fabric.topo);
+    for (LinkIndex li = 0; li < fabric.topo.link_count(); ++li) {
+      weighted.ScaleLinkWeight(li, 1.0 + static_cast<double>(li % 3));
+    }
+    ExpectSamplesAreShortest(fabric.name + "-weighted", weighted);
+  }
+}
+
+TEST(ShortestPathDagTest, SampleIsAPureFunctionOfRootTargetAndSeed) {
+  Topology t = MediumCube();
   SwitchGraph g(t);
-  SsspTree tree = BuildSsspTree(g, 0);
-  EXPECT_FALSE(PathFromTree(tree, 6).ok());
-  EXPECT_FALSE(PathFromTree(tree, 99).ok());
+  SsspScratch scratch;
+  ShortestPathDag first;
+  first.Build(g, 0, scratch);
+  // A DAG object (and scratch) reused for another root first: nothing of that
+  // build leaks.
+  ShortestPathDag second;
+  second.Build(g, 21, scratch);
+  second.Build(g, 0, scratch);
+  for (uint32_t target : {21u, 42u, 63u}) {
+    Rng rng_a(77);
+    Rng rng_b(77);
+    Rng other(78);
+    auto a = first.Sample(g, target, &rng_a);
+    (void)second.Sample(g, 42, &other);  // interleaved queries share nothing
+    auto b = second.Sample(g, target, &rng_b);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a.value(), b.value()) << "target " << target;
+    EXPECT_EQ(rng_a.Next64(), rng_b.Next64()) << "walks drew differently";
+  }
+}
+
+TEST(ShortestPathDagTest, SamplerUsesEveryEqualCostNextHop) {
+  FatTreeConfig config;
+  config.k = 4;
+  config.attach_hosts = false;
+  auto ft = MakeFatTree(config);
+  ASSERT_TRUE(ft.ok());
+  SwitchGraph g(ft.value().topo);
+  const uint32_t src = ft.value().edge[0];  // pod 0
+  const uint32_t dst = ft.value().edge[7];  // pod 3
+  ShortestPathDag dag;
+  SsspScratch scratch;
+  dag.Build(g, src, scratch);
+  std::set<uint32_t> first_hops;
+  std::set<uint32_t> cores;
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    auto path = dag.Sample(g, dst, &rng);
+    ASSERT_TRUE(path.ok());
+    ASSERT_EQ(path.value().size(), 5u);
+    first_hops.insert(path.value()[1]);
+    cores.insert(path.value()[2]);
+  }
+  std::set<uint32_t> pod0_aggs;
+  for (const AdjEdge& e : g.Neighbors(src)) {
+    pod0_aggs.insert(e.to);
+  }
+  EXPECT_EQ(first_hops, pod0_aggs) << "an equal-cost uplink was never used";
+  EXPECT_EQ(cores.size(), ft.value().core.size()) << "a core was never used";
+}
+
+TEST(ShortestPathDagTest, UnreachableTargetIsAnError) {
+  Topology t = Diamond();
+  t.AddSwitch(8);  // isolated switch 6
+  SwitchGraph g(t);
+  ShortestPathDag dag;
+  SsspScratch scratch;
+  dag.Build(g, 0, scratch);
+  Rng rng(1);
+  EXPECT_EQ(dag.CostTo(6), kInfCost);
+  EXPECT_FALSE(dag.Sample(g, 6, &rng).ok());
+  EXPECT_FALSE(dag.Sample(g, 99, &rng).ok());
+  auto self = dag.Sample(g, 0, &rng);
+  ASSERT_TRUE(self.ok());
+  EXPECT_EQ(self.value(), (SwitchPath{0}));
+  ShortestPathDag from_isolated;
+  from_isolated.Build(g, 6, scratch);
+  EXPECT_FALSE(from_isolated.Sample(g, 3, &rng).ok());
+}
+
+TEST(ShortestPathDagCacheTest, OneBuildPerRootUntilCleared) {
+  Topology t = Diamond();
+  SwitchGraph g(t);
+  ShortestPathDagCache cache;
+  EXPECT_EQ(cache.Get(g, 0).root(), 0u);
+  EXPECT_EQ(cache.Get(g, 0).root(), 0u);
+  EXPECT_EQ(cache.Get(g, 3).root(), 3u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  // Clear() drops every DAG: the next Get() builds over the new snapshot.
+  t.SetLinkUp(t.LinkAtPort(0, 1), false);
+  SwitchGraph g2(t);
+  cache.Clear();
+  EXPECT_EQ(cache.Get(g2, 0).CostTo(1), 3.0);  // 0-2-3-1 now
+  EXPECT_EQ(cache.Get(g2, 0).CostTo(1), 3.0);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(PathGraphTest, ScratchOverloadMatchesAllocatingOverload) {
@@ -406,80 +581,31 @@ TEST(PathGraphTest, ScratchOverloadMatchesAllocatingOverload) {
   }
 }
 
-TEST(PathGraphBatchTest, MatchesSequentialBuildsWithForkedRngs) {
+// The controller samples its primary from a cached DAG and builds around it;
+// that must be the very graph BuildPathGraph yields for the same rng state.
+TEST(PathGraphTest, AroundSampledPrimaryMatchesBuildPathGraph) {
   Topology t = MediumCube();
   SwitchGraph g(t);
   PathGraphParams params;
-  std::vector<uint32_t> dsts;
-  for (uint32_t v = 1; v < g.size(); v += 3) {
-    dsts.push_back(v);
-  }
-  Rng rng_tree_a(123);
-  SsspTree tree = BuildSsspTree(g, 0, &rng_tree_a);
-  // Reference: one sequential BuildPathGraphAround per destination, with the same
-  // fork discipline the batch documents.
-  Rng rng_a(55);
-  std::vector<Rng> forks;
-  for (size_t i = 0; i < dsts.size(); ++i) {
-    forks.push_back(rng_a.Fork(i));
-  }
   PathGraphScratch scratch;
-  std::vector<Result<PathGraph>> expected;
-  for (size_t i = 0; i < dsts.size(); ++i) {
-    auto primary = PathFromTree(tree, dsts[i]);
+  ShortestPathDag dag;
+  SsspScratch dag_scratch;
+  dag.Build(g, 0, dag_scratch);
+  for (uint32_t dst : {21u, 42u, 63u}) {
+    Rng rng_a(31);
+    Rng rng_b(31);
+    auto direct = BuildPathGraph(t, g, 0, dst, params, &rng_a, scratch);
+    auto primary = dag.Sample(g, dst, &rng_b);
     ASSERT_TRUE(primary.ok());
-    expected.push_back(BuildPathGraphAround(t, g, std::move(primary.value()), params,
-                                            &forks[i], scratch));
+    auto around =
+        BuildPathGraphAround(t, g, std::move(primary.value()), params, &rng_b, scratch);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(around.ok());
+    EXPECT_EQ(direct.value().primary, around.value().primary);
+    EXPECT_EQ(direct.value().backup, around.value().backup);
+    EXPECT_EQ(direct.value().vertices, around.value().vertices);
+    EXPECT_EQ(direct.value().links, around.value().links);
   }
-  Rng rng_b(55);
-  auto batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_b, nullptr);
-  ASSERT_EQ(batch.size(), expected.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok());
-    ASSERT_TRUE(expected[i].ok());
-    EXPECT_EQ(batch[i].value().primary, expected[i].value().primary) << "dst " << dsts[i];
-    EXPECT_EQ(batch[i].value().backup, expected[i].value().backup) << "dst " << dsts[i];
-    EXPECT_EQ(batch[i].value().vertices, expected[i].value().vertices);
-    EXPECT_EQ(batch[i].value().links, expected[i].value().links);
-  }
-}
-
-TEST(PathGraphBatchTest, PooledMatchesInline) {
-  Topology t = MediumCube();
-  SwitchGraph g(t);
-  PathGraphParams params;
-  std::vector<uint32_t> dsts;
-  for (uint32_t v = 1; v < g.size(); v += 2) {
-    dsts.push_back(v);
-  }
-  SsspTree tree = BuildSsspTree(g, 0);
-  Rng rng_a(9);
-  auto inline_batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_a, nullptr);
-  ThreadPool pool(3);
-  Rng rng_b(9);
-  auto pooled_batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_b, &pool);
-  ASSERT_EQ(inline_batch.size(), pooled_batch.size());
-  for (size_t i = 0; i < inline_batch.size(); ++i) {
-    ASSERT_TRUE(inline_batch[i].ok());
-    ASSERT_TRUE(pooled_batch[i].ok());
-    EXPECT_EQ(inline_batch[i].value().primary, pooled_batch[i].value().primary);
-    EXPECT_EQ(inline_batch[i].value().backup, pooled_batch[i].value().backup);
-    EXPECT_EQ(inline_batch[i].value().vertices, pooled_batch[i].value().vertices);
-    EXPECT_EQ(inline_batch[i].value().links, pooled_batch[i].value().links);
-  }
-}
-
-TEST(PathGraphBatchTest, UnreachableDestinationYieldsErrorEntry) {
-  Topology t = Diamond();
-  t.AddSwitch(8);  // isolated switch 6
-  SwitchGraph g(t);
-  SsspTree tree = BuildSsspTree(g, 0);
-  auto batch = BuildPathGraphBatch(t, g, tree, {3, 6, 1}, PathGraphParams{}, nullptr,
-                                   nullptr);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_TRUE(batch[0].ok());
-  EXPECT_FALSE(batch[1].ok());
-  EXPECT_TRUE(batch[2].ok());
 }
 
 }  // namespace

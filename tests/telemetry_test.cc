@@ -1,9 +1,11 @@
 // Telemetry subsystem tests: metrics registry snapshot/diff, log-bucketed
 // histogram accuracy against exact ground truth, flight-recorder ring
 // semantics and dump round-trips, DN_LOG_KV capture, in-band path provenance
-// (including an injected misroute), and thread-safety of the counters under a
-// ThreadPool (run the tsan preset to get the full data-race check).
+// (including an injected misroute), and thread-safety of the counters under
+// concurrent writer threads (run the tsan preset to get the full data-race check).
+#include <functional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +17,6 @@
 #include "src/topo/generators.h"
 #include "src/util/logging.h"
 #include "src/util/stats.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 namespace {
@@ -266,16 +267,30 @@ TEST(FlightRecorder, LogCaptureRecordsKvEvents) {
 
 // --- Concurrency (meaningful under -DDUMBNET_SANITIZE=thread) -----------------------
 
-TEST(TelemetryConcurrency, CountersAreRaceFreeFromPoolWorkers) {
+// Runs fn(i) for every i in [0, n) on `threads` concurrent threads, strided.
+void RunConcurrently(size_t n, size_t threads, const std::function<void(size_t)>& fn) {
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&fn, n, threads, t] {
+      for (size_t i = t; i < n; i += threads) {
+        fn(i);
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+}
+
+TEST(TelemetryConcurrency, CountersAreRaceFreeFromConcurrentThreads) {
   auto& reg = MetricsRegistry::Global();
   telemetry::Counter* c = reg.GetCounter("test.concurrent.counter");
   telemetry::Gauge* g = reg.GetGauge("test.concurrent.gauge");
   c->Reset();
   g->Reset();
 
-  ThreadPool pool(3);
   constexpr size_t kIters = 20000;
-  pool.ParallelFor(kIters, [&](size_t, size_t) {
+  RunConcurrently(kIters, 4, [&](size_t) {
     // Registry lookups and metric updates race against each other on purpose.
     MetricsRegistry::Global().GetCounter("test.concurrent.counter")->Inc();
     g->Add(1);
@@ -293,8 +308,7 @@ TEST(TelemetryConcurrency, RecorderAcceptsConcurrentWriters) {
   auto& fr = FlightRecorder::Global();
   fr.SetCapacity(1024);
   fr.Clear();  // SetCapacity clears the ring but not the lifetime total
-  ThreadPool pool(3);
-  pool.ParallelFor(5000, [&](size_t i, size_t) { fr.Record(MakeEvent(i)); });
+  RunConcurrently(5000, 4, [&](size_t i) { fr.Record(MakeEvent(i)); });
   EXPECT_EQ(fr.size(), 1024u);
   EXPECT_EQ(fr.total_recorded(), 5000u);
   fr.SetCapacity(64 * 1024);

@@ -1,6 +1,6 @@
 // Tests of the wire runtime (src/wire): the frame codec every socket speaks,
 // the incremental FrameDecoder that reassembles frames from arbitrary recv()
-// splits, and one end-to-end boot of a real UDS fabric.
+// splits, and end-to-end boots of real UDS fabrics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -390,6 +390,57 @@ TEST(WireFabricTest, UdsFabricBootsAndServesPings) {
   EXPECT_EQ(src.path_divergence, 0u);
   EXPECT_EQ(dst.path_divergence, 0u);
   fabric.Shutdown();
+}
+
+// Several fabrics in one process, one after another (what a benchmark that
+// sets the fabric up repeatedly does): each must come up and warm every route
+// from scratch. Routing state belongs to one ControllerService; nothing static
+// may carry over from a torn-down fabric into the next.
+TEST(WireFabricTest, SuccessiveFabricsEachWarmEveryRoute) {
+  Topology topo;
+  const uint32_t s0 = topo.AddSwitch(8);
+  const uint32_t s1 = topo.AddSwitch(8);
+  const uint32_t s2 = topo.AddSwitch(8);
+  ASSERT_TRUE(topo.ConnectSwitches(s0, 1, s1, 1).ok());
+  ASSERT_TRUE(topo.ConnectSwitches(s1, 2, s2, 1).ok());
+  ASSERT_TRUE(topo.ConnectSwitches(s2, 2, s0, 2).ok());
+  for (uint32_t sw : {s0, s1, s2}) {
+    for (PortNum port = 3; port <= 4; ++port) {
+      ASSERT_TRUE(topo.AttachHost(topo.AddHost(), sw, port).ok());
+    }
+  }
+  for (int round = 0; round < 2; ++round) {
+    WireFabricOptions fopts;
+    fopts.node.disc_config.max_ports = 8;
+    fopts.node.disc_config.probe_timeout = Ms(50);
+    fopts.discovery_timeout = Sec(30);
+    WireFabric fabric(topo, fopts);
+    Status status = fabric.Start();
+    ASSERT_TRUE(status.ok()) << "round " << round << ": " << status.ToString();
+    status = fabric.RunDiscovery();
+    ASSERT_TRUE(status.ok()) << "round " << round << ": " << status.ToString();
+    // Host h sits on switch h / 2: warm every pair of hosts on different
+    // switches; the first ping of each queries the controller.
+    const uint32_t hosts = static_cast<uint32_t>(fabric.host_count());
+    uint64_t flow = 1;
+    for (uint32_t a = 0; a < hosts; ++a) {
+      for (uint32_t b = 0; b < hosts; ++b) {
+        if (a / 2 == b / 2) {
+          continue;
+        }
+        bool ok = false;
+        for (int i = 0; i < 5 && !ok; ++i) {
+          ok = fabric.Ping(a, b, flow, Sec(2)).ok;
+        }
+        EXPECT_TRUE(ok) << "round " << round << ": no route from host " << a << " to " << b;
+        ++flow;
+      }
+    }
+    for (uint32_t h = 0; h < hosts; ++h) {
+      EXPECT_EQ(fabric.HostStats(h).path_divergence, 0u) << "round " << round;
+    }
+    fabric.Shutdown();
+  }
 }
 
 }  // namespace
